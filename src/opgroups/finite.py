@@ -24,6 +24,7 @@ __all__ = [
     "GroupData",
     "GroupTableError",
     "Law",
+    "adjoint_action",
     "alternating",
     "check_identity",
     "constant_operator",

@@ -23,7 +23,11 @@ until the word is again a Rota-Baxter word.
 Two implementations are provided: :func:`diamond`, structured as the case
 split on standard factorizations, and :func:`diamond_rewrite`, a flat
 leftmost-first fixpoint rewriting of the concatenated atom sequence.  They
-are cross-checked against each other in the test suite.
+are cross-checked against each other in the test suite.  Each call of
+:func:`diamond` or :func:`diamond_conjugate` memoises its subproducts for the
+length of that call: the bracket merges ask for the same ``(u, v)`` pairs
+many times over, and each is computed once.  The memo is dropped when the
+call returns, so no memory outlives a product.
 
 Because the Rota-Baxter relation forces ``B(1) = 1`` in every group carrying
 such an operator (``B(1)B(1) = B(1 · B(1) 1 B(1)^-1) = B(1)``), the bracket
@@ -62,17 +66,22 @@ __all__ = [
     "rb_inverse",
 ]
 
+# The guard counts the distinct subproducts one product computes (memo
+# misses), not the recursive calls; squaring <<<<<x>>>>> takes 4,427.
 DEFAULT_GUARD_STEPS = 1_000_000
 
 # The product builds its words from pieces of reduced words that it knows
-# not to cancel (see the seam split in _diamond), so it skips free reduction.
+# not to cancel (see the seam split in _diamond_step), so it skips free
+# reduction.
 _word = Word._reduced
 
 
 class DiamondLimitError(RuntimeError):
-    """The recursion guard fired.  This signals a bug in the product
-    recursion, not a property of the input; it must never happen for valid
-    Rota-Baxter words."""
+    """The recursion guard fired: one product computed more distinct
+    subproducts than its ``max_steps`` budget.  This signals a bug in the
+    product recursion, not a property of the input; it must never happen for
+    valid Rota-Baxter words under the default budget.  The message names the
+    budget and the lengths and depths of the two operands."""
 
 
 def find_rb_violation(w: Word) -> Optional[str]:
@@ -122,19 +131,38 @@ def rb_inverse(w: Word) -> Word:
 
 
 class _Guard:
-    __slots__ = ("left",)
+    # One per top-level product: the step budget, the operands named when it
+    # fires, and the memo of every subproduct computed so far in this call.
+    __slots__ = ("left", "budget", "u", "v", "memo")
 
-    def __init__(self, steps: int):
-        self.left = steps
+    def __init__(self, steps: int, u: Word, v: Word):
+        self.left = self.budget = steps
+        self.u, self.v = u, v
+        self.memo: dict[tuple[Word, Word], Word] = {}
 
     def tick(self) -> None:
         self.left -= 1
         if self.left < 0:
-            raise DiamondLimitError("diamond recursion guard exceeded")
+            u, v = self.u, self.v
+            raise DiamondLimitError(
+                f"diamond recursion guard exceeded: more than {self.budget} distinct "
+                f"subproducts for operands of length {len(u)} and {len(v)}, "
+                f"depth {u.depth()} and {v.depth()}")
 
 
 def _diamond(u: Word, v: Word, guard: _Guard) -> Word:
-    guard.tick()
+    # _diamond is a pure function of two immutable words, and the bracket
+    # merges ask for the same subproducts many times over, so each is
+    # computed once per top-level call; only those computations tick.
+    key = (u, v)
+    r = guard.memo.get(key)
+    if r is None:
+        guard.tick()
+        r = guard.memo[key] = _diamond_step(u, v, guard)
+    return r
+
+
+def _diamond_step(u: Word, v: Word, guard: _Guard) -> Word:
     if not u.atoms:
         return v
     if not v.atoms:
@@ -180,21 +208,26 @@ def diamond(u: Word, v: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
     Both arguments must be Rota-Baxter words; the result is one.  The empty
     word is the two-sided identity and ``diamond(w, rb_inverse(w))`` is the
     identity.
+
+    ``max_steps`` bounds the number of distinct subproducts the call
+    computes; each is memoised for the rest of the call, so asking for it
+    again costs no step.  :class:`DiamondLimitError` is raised beyond it.
     """
     _require_rb(u, "left factor")
     _require_rb(v, "right factor")
-    return _diamond(u, v, _Guard(max_steps))
+    return _diamond(u, v, _Guard(max_steps, u, v))
 
 
 def diamond_conjugate(u: Word, vbar: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
     """The twist AD of ``vbar`` by a one-atom positive bracket ``u``: the
     left-bracketed diamond conjugation ``(u ⋄ vbar) ⋄ u^-1``, the body twist
-    that :func:`diamond` uses to merge ``u`` with ``<vbar>``."""
+    that :func:`diamond` uses to merge ``u`` with ``<vbar>``.  ``max_steps``
+    bounds its distinct subproducts as in :func:`diamond`."""
     if len(u.atoms) != 1 or not u.atoms[0].is_bracket or u.atoms[0].sign != 1:
         raise ValueError("conjugating element must be a single positive bracket <...>")
     _require_rb(u, "conjugating element")
     _require_rb(vbar, "conjugated word")
-    return _ad(u.atoms[0], vbar, _Guard(max_steps))
+    return _ad(u.atoms[0], vbar, _Guard(max_steps, u, vbar))
 
 
 # --- independent oracle: fixpoint rewriting ----------------------------------

@@ -162,6 +162,12 @@ def test_crossed_with_adjoint_equals_diff_plus():
             assert check_identity(g, op, Law.DIFF_PLUS) is None
 
 
+def test_star_import_binds_adjoint_action():
+    ns = {}
+    exec("from opgroups.finite import *", ns)
+    assert ns["adjoint_action"] is adjoint_action
+
+
 def test_action_validation_rejects_bad_matrix():
     g = cyclic(2)
     with pytest.raises(ValueError, match="identity"):

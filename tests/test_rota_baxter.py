@@ -133,6 +133,26 @@ def test_recursion_guard_is_configurable():
         diamond(u, u, max_steps=3)
 
 
+def test_guard_error_names_budget_and_operands():
+    u = rb_bracket(rb_bracket(rb_bracket(x)))
+    with pytest.raises(DiamondLimitError, match=r"more than 3 distinct subproducts "
+                       r"for operands of length 1 and 1, depth 3 and 3"):
+        diamond(u, u, max_steps=3)
+
+
+def test_depth_five_square_computes_each_subproduct_once():
+    # one product memoises its subproducts: 4,427 distinct ones here, where
+    # recomputing them on every request took about 2.8e7 steps
+    w = parse_word("<<<<<x>>>>>")
+    r = diamond(w, w, max_steps=10_000)
+    assert is_rb_word(r) and not r.is_identity
+
+
+def test_depth_four_square_agrees_with_rewriting_oracle():
+    w = parse_word("<<<<x>>>>")
+    assert diamond(w, w) == diamond_rewrite(w, w)
+
+
 # --- the conjugation twist --------------------------------------------------------
 
 def test_conjugate_examples():
