@@ -6,10 +6,12 @@ extends to words through the weight-1 product rule
 
     D(g h) = D(g) g D(h) g^-1.
 
-The module also exposes the two closed formulas that follow from that rule
-(the n-fold product and the inverse-power formula), the order-shift
-endomorphism, and the evaluator into any finite group carrying a validated
-weight-1 differential operator.
+:class:`DiffWord` is the shared word core :class:`~opgroups.words.ReducedWord`
+over :class:`DiffLetter` letters.  The module also exposes the two closed
+formulas that follow from that rule (the n-fold product and the inverse-power
+formula), the order-shift endomorphism, and the evaluator into any group
+carrying a validated weight-1 differential operator; it runs the operated
+loop :func:`opgroups.operated.multiply_images` on the image of each ``x.n``.
 
 Text syntax: ``x.n`` is the n-th derived letter, ``x`` abbreviates ``x.0``,
 inverses are written ``x.n^-1``; letters are whitespace separated and ``1``
@@ -19,10 +21,11 @@ denotes the identity.  Brackets do not exist in this theory.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .operated import UnassignedGeneratorError
-from .words import WordSyntaxError, free_reduce
+from .finite import Law, LawTarget
+from .operated import UnassignedGeneratorError, multiply_images
+from .words import _IDENT_RE, ReducedWord, WordSyntaxError
 
 __all__ = [
     "DiffLetter",
@@ -46,8 +49,10 @@ class DiffLetter:
     __slots__ = ("symbol", "order", "sign", "_hash")
 
     def __init__(self, symbol: str, order: int = 0, sign: int = 1):
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", symbol):
+        if not _IDENT_RE.fullmatch(symbol):
             raise ValueError(f"invalid generator name {symbol!r}")
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise TypeError(f"derivative order must be an int, got {order!r}")
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         if sign not in (1, -1):
@@ -77,50 +82,11 @@ class DiffLetter:
         return _format_letter(self)
 
 
-class DiffWord:
-    """A reduced word in derived letters; ``DiffWord()`` is the identity."""
+class DiffWord(ReducedWord):
+    """A reduced word in derived letters, kept in ``atoms``; ``DiffWord()``
+    is the identity."""
 
-    __slots__ = ("letters", "_hash")
-
-    def __init__(self, letters: Iterable[DiffLetter] = ()):
-        self.letters = free_reduce(letters)
-        self._hash = hash(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[DiffLetter]:
-        return iter(self.letters)
-
-    def __mul__(self, other: "DiffWord") -> "DiffWord":
-        if not isinstance(other, DiffWord):
-            return NotImplemented
-        return DiffWord(self.letters + other.letters)
-
-    def inverse(self) -> "DiffWord":
-        return DiffWord(a.inverse() for a in reversed(self.letters))
-
-    def __invert__(self) -> "DiffWord":
-        return self.inverse()
-
-    def __pow__(self, n: int) -> "DiffWord":
-        base = self if n >= 0 else self.inverse()
-        out = DiffWord()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffWord):
-            return NotImplemented
-        return self._hash == other._hash and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return format_diff_word(self)
@@ -146,10 +112,10 @@ def derive(w: DiffWord) -> DiffWord:
     A word of length >= 2 is split at its first letter z, giving
     D(z rest) = D(z) z D(rest) z^-1; the result is re-reduced.
     """
-    if not w.letters:
+    if not w.atoms:
         return DiffWord()
-    out = _derive_letter(w.letters[-1])
-    for a in reversed(w.letters[:-1]):
+    out = _derive_letter(w.atoms[-1])
+    for a in reversed(w.atoms[:-1]):
         head = DiffWord((a,))
         out = _derive_letter(a) * head * out * head.inverse()
     return out
@@ -196,72 +162,42 @@ def shift_orders(w: DiffWord) -> DiffWord:
     Unlike :func:`derive` it is a plain group endomorphism and does not
     satisfy the weight-1 product rule.
     """
-    return DiffWord(DiffLetter(a.symbol, a.order + 1, a.sign) for a in w.letters)
+    return DiffWord(DiffLetter(a.symbol, a.order + 1, a.sign) for a in w.atoms)
 
 
 # --- evaluation into differential groups -------------------------------------
 
-class DiffTarget:
-    """A group with a weight-1 differential operator, validated exhaustively.
+class DiffTarget(LawTarget):
+    """A group with a weight-1 differential operator, validated as a
+    :class:`~opgroups.finite.LawTarget`."""
 
-    ``group`` must expose ``identity()``, ``mul``, ``inv`` and, for
-    validation, ``iter_elements()``.  Carriers that cannot be enumerated are
-    refused unless ``trusted=True`` attests that ``op`` satisfies the law.
-    """
-
-    def __init__(self, group, op: Callable, *, trusted: bool = False):
-        self.group = group
-        self.op = op
-        if not trusted:
-            try:
-                elems = list(group.iter_elements())
-            except AttributeError:
-                raise ValueError(
-                    "cannot enumerate the carrier to validate the differential law; "
-                    "pass trusted=True to attest it") from None
-            _check_weight1(group, op, elems)
-
-
-def _check_weight1(group, op, elems) -> None:
-    mul, inv = group.mul, group.inv
-    for a in elems:
-        for b in elems:
-            if op(mul(a, b)) != mul(mul(mul(op(a), a), op(b)), inv(a)):
-                raise ValueError(
-                    f"not a weight-1 differential operator: the product rule fails "
-                    f"at the pair ({a!r}, {b!r})")
+    law = Law.DIFF_PLUS
+    rule = "the weight-1 differential product rule"
 
 
 def evaluate(w: DiffWord, assignment: Mapping[str, object], target: DiffTarget):
     """Image of ``w`` under the homomorphism sending x.n to the n-th
-    derivative of the element assigned to x."""
-    g, d = target.group, target.op
-    cache: dict[tuple[str, int], object] = {}
+    derivative of the element assigned to x.  Each symbol's chain
+    ``g, d(g), d(d(g)), ...`` is extended iteratively, once per order."""
+    d = target.op
+    chains: dict[str, list] = {}
 
-    def image(symbol: str, order: int):
-        key = (symbol, order)
-        if key not in cache:
-            if order == 0:
-                try:
-                    cache[key] = assignment[symbol]
-                except KeyError:
-                    raise UnassignedGeneratorError(symbol) from None
-            else:
-                cache[key] = d(image(symbol, order - 1))
-        return cache[key]
+    def image(a: DiffLetter):
+        chain = chains.get(a.symbol)
+        if chain is None:
+            if a.symbol not in assignment:
+                raise UnassignedGeneratorError(a.symbol)
+            chain = chains[a.symbol] = [assignment[a.symbol]]
+        while len(chain) <= a.order:
+            chain.append(d(chain[-1]))
+        return chain[a.order]
 
-    acc = g.identity()
-    for a in w:
-        val = image(a.symbol, a.order)
-        if a.sign < 0:
-            val = g.inv(val)
-        acc = g.mul(acc, val)
-    return acc
+    return multiply_images(w, target.group, image)
 
 
 # --- text form ---------------------------------------------------------------
 
-_LETTER_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\.(\d+))?(\^-1)?\Z")
+_LETTER_RE = re.compile(rf"({_IDENT_RE.pattern})(?:\.(\d+))?(\^-1)?\Z")
 
 
 def parse_diff_word(text: str) -> DiffWord:
@@ -290,6 +226,6 @@ def _format_letter(a: DiffLetter) -> str:
 
 def format_diff_word(w: DiffWord) -> str:
     """Canonical text form; the order suffix is always printed (x.0, not x)."""
-    if not w.letters:
+    if not w.atoms:
         return "1"
-    return " ".join(_format_letter(a) for a in w.letters)
+    return " ".join(_format_letter(a) for a in w.atoms)

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import yaml
+
+from .operated import OperatedTarget
 
 __all__ = [
     "EnumerationBudgetError",
@@ -24,6 +26,7 @@ __all__ = [
     "GroupData",
     "GroupTableError",
     "Law",
+    "LawTarget",
     "adjoint_action",
     "alternating",
     "check_identity",
@@ -33,6 +36,7 @@ __all__ = [
     "dihedral",
     "dump_group_file",
     "enumerate_operators",
+    "first_violation",
     "identity_operator",
     "inversion_operator",
     "klein_four",
@@ -234,8 +238,7 @@ def adjoint_action(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _pair_status(group: FiniteGroup, images: Sequence[Optional[int]], law: Law,
-                 action, a: int, b: int) -> Optional[bool]:
+def _pair_status(group, images, law: Law, action, a, b) -> Optional[bool]:
     # True = law holds at (a, b); False = violated; None = some needed image
     # is still unassigned (only during enumeration).
     m = group.mul
@@ -265,6 +268,24 @@ def _pair_status(group: FiniteGroup, images: Sequence[Optional[int]], law: Law,
     raise ValueError(f"unknown law {law!r}")
 
 
+def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
+    """The first pair ``(a, b)``, in ``group.iter_elements()`` order, at which
+    ``x -> images[x]`` breaks ``law``, or None.  ``images`` is a dict or, for
+    a :class:`FiniteGroup`, a tuple; an image outside the carrier raises
+    ValueError."""
+    law = Law(law)
+    elems = list(group.iter_elements())
+    carrier = set(elems)
+    for a in elems:
+        if images[a] not in carrier:
+            raise ValueError(f"the image {images[a]!r} of {a!r} is not an element")
+    for a in elems:
+        for b in elems:
+            if _pair_status(group, images, law, action, a, b) is False:
+                return a, b
+    return None
+
+
 def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
                    action: Optional[Sequence[Sequence[int]]] = None
                    ) -> Optional[tuple[str, str]]:
@@ -281,11 +302,31 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
         if action is None:
             raise ValueError("the crossed-homomorphism law needs an action")
         validate_action(group, action)
-    for a in range(n):
-        for b in range(n):
-            if _pair_status(group, op, law, action, a, b) is False:
-                return (group.name(a), group.name(b))
-    return None
+    bad = first_violation(group, op, law, action)
+    return None if bad is None else (group.name(bad[0]), group.name(bad[1]))
+
+
+class LawTarget(OperatedTarget):
+    """An operated target whose ``op`` satisfies the subclass's ``law`` (named
+    ``rule`` in errors), checked by :func:`first_violation` on a table of
+    ``op`` over ``group.iter_elements()`` unless ``trusted=True`` attests it."""
+
+    law: Law
+    rule: str
+
+    def __init__(self, group, op: Callable, *, trusted: bool = False):
+        super().__init__(group, op)
+        if trusted:
+            return
+        try:
+            elems = group.iter_elements()
+        except AttributeError:
+            raise ValueError(
+                f"cannot enumerate the carrier to validate {self.rule}; "
+                "pass trusted=True to attest it") from None
+        bad = first_violation(group, {a: op(a) for a in elems}, self.law)
+        if bad is not None:
+            raise ValueError(f"{self.rule} fails at the pair ({bad[0]!r}, {bad[1]!r})")
 
 
 def enumerate_operators(group: FiniteGroup, law: Law,
@@ -521,6 +562,14 @@ class GroupData:
     subgroups: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
 
+def _as_list(value, what: str) -> list:
+    # YAML reads ``elements: ea`` as the string "ea", which would otherwise be
+    # iterated as the two elements "e" and "a"
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def load_group_file(path, *, max_size: int = DEFAULT_CHECK_BOUND) -> GroupData:
     """Read and validate a group file (YAML/JSON mapping).
 
@@ -539,18 +588,20 @@ def load_group_file(path, *, max_size: int = DEFAULT_CHECK_BOUND) -> GroupData:
     for key in ("elements", "table"):
         if key not in raw:
             raise ValueError(f"group file is missing the {key!r} key")
-    elements = [str(s) for s in raw["elements"]]
-    group = validate_group(elements, [[str(s) for s in row] for row in raw["table"]],
-                           max_size=max_size)
+    elements = [str(s) for s in _as_list(raw["elements"], "elements")]
+    table = [[str(s) for s in _as_list(row, f"table row {i}")]
+             for i, row in enumerate(_as_list(raw["table"], "table"))]
+    group = validate_group(elements, table, max_size=max_size)
 
     operator = None
     if "operator" in raw:
-        operator = operator_from_names(group, [str(s) for s in raw["operator"]])
+        images = _as_list(raw["operator"], "operator")
+        operator = operator_from_names(group, [str(s) for s in images])
 
     action = None
     if "action" in raw:
-        rows = [[group.index(str(s)) for s in row] for row in raw["action"]]
-        action = tuple(tuple(row) for row in rows)
+        action = tuple(tuple(group.index(str(s)) for s in _as_list(row, f"action row {i}"))
+                       for i, row in enumerate(_as_list(raw["action"], "action")))
         validate_action(group, action)
 
     subgroups: dict[str, tuple[int, ...]] = {}
@@ -558,6 +609,7 @@ def load_group_file(path, *, max_size: int = DEFAULT_CHECK_BOUND) -> GroupData:
         if not isinstance(raw["subgroups"], dict):
             raise ValueError("subgroups must be a mapping of name -> element list")
         for key, members in raw["subgroups"].items():
+            members = _as_list(members, f"subgroups entry {key!r}")
             subgroups[str(key)] = tuple(group.index(str(s)) for s in members)
 
     return GroupData(group, operator, action, subgroups)

@@ -6,6 +6,10 @@ one-atom word ``<w>``.  Given any target group carrying an arbitrary self-map
 image of a word under the unique operated-group homomorphism extending the
 assignment: generators go to their assigned elements, concatenation to the
 carrier product, and a bracket to ``op`` applied to the evaluated body.
+
+The free differential and Rota-Baxter groups are operated groups with a law,
+so every evaluator runs :func:`multiply_images`, the one loop over a word's
+letters; each theory supplies only the image of one letter.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ __all__ = [
     "UnassignedGeneratorError",
     "bracket",
     "evaluate",
+    "multiply_images",
 ]
 
 
@@ -48,20 +53,30 @@ class OperatedTarget:
         self.op = op
 
 
+def multiply_images(w, group, image: Callable):
+    """The product in ``group`` of ``image(a)`` over the letters ``a`` of
+    ``w``, inverted where ``a`` is negative: ``image`` maps a letter to the
+    image of its positive form."""
+    acc = group.identity()
+    for a in w.atoms:
+        val = image(a)
+        if a.sign < 0:
+            val = group.inv(val)
+        acc = group.mul(acc, val)
+    return acc
+
+
 def evaluate(w: Word, assignment: Mapping[str, object], target: OperatedTarget):
     """Image of ``w`` under the homomorphism sending each generator to its
     assigned carrier element and each bracket to ``target.op`` of its body."""
     g, op = target.group, target.op
-    acc = g.identity()
-    for atom in w:
+
+    def image(atom: Atom):
         if atom.is_bracket:
-            val = op(evaluate(atom.base, assignment, target))
-        else:
-            try:
-                val = assignment[atom.base]
-            except KeyError:
-                raise UnassignedGeneratorError(atom.base) from None
-        if atom.sign < 0:
-            val = g.inv(val)
-        acc = g.mul(acc, val)
-    return acc
+            return op(multiply_images(atom.base, g, image))
+        try:
+            return assignment[atom.base]
+        except KeyError:
+            raise UnassignedGeneratorError(atom.base) from None
+
+    return multiply_images(w, g, image)

@@ -47,9 +47,10 @@ Rota-Baxter groups.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import operated
+from .finite import Law, LawTarget
 from .words import Atom, Word
 
 __all__ = [
@@ -277,34 +278,12 @@ def _merge_positive(a: Atom, b: Atom) -> Optional[Atom]:
 
 # --- evaluation into Rota-Baxter groups --------------------------------------
 
-class RBTarget:
-    """A group with a weight-1 Rota-Baxter operator, validated exhaustively.
+class RBTarget(LawTarget):
+    """A group with a weight-1 Rota-Baxter operator, validated as a
+    :class:`~opgroups.finite.LawTarget`."""
 
-    Carriers that cannot be enumerated are refused unless ``trusted=True``
-    attests that ``op`` satisfies the Rota-Baxter relation.
-    """
-
-    def __init__(self, group, op: Callable, *, trusted: bool = False):
-        self.group = group
-        self.op = op
-        if not trusted:
-            try:
-                elems = list(group.iter_elements())
-            except AttributeError:
-                raise ValueError(
-                    "cannot enumerate the carrier to validate the Rota-Baxter relation; "
-                    "pass trusted=True to attest it") from None
-            _check_rb1(group, op, elems)
-
-
-def _check_rb1(group, op, elems) -> None:
-    mul, inv = group.mul, group.inv
-    for a in elems:
-        for b in elems:
-            if mul(op(a), op(b)) != op(mul(a, mul(mul(op(a), b), inv(op(a))))):
-                raise ValueError(
-                    f"not a weight-1 Rota-Baxter operator: the relation fails "
-                    f"at the pair ({a!r}, {b!r})")
+    law = Law.RB_PLUS
+    rule = "the weight-1 Rota-Baxter relation"
 
 
 def evaluate(w: Word, assignment: Mapping[str, object], target: RBTarget):

@@ -1,10 +1,15 @@
-"""Reduced bracketed group words.
+"""Reduced group words: the core shared by every theory, and bracketed words.
 
-A word is a finite sequence of atoms, each atom being a signed generator or a
-signed bracket ``<...>`` enclosing another word.  Words are kept *reduced* (no
-adjacent mutually-inverse atoms), so two words are equal as Python values
-exactly when they are equal in the free operated group.  The empty word is the
-group identity and prints as ``"1"``.
+:class:`ReducedWord` owns free reduction, the product, inverse, power,
+equality and hashing over any letter type with ``cancels`` and ``inverse``.
+:class:`Word` adds bracket depth, breadth and its printer;
+``differential.DiffWord`` adds only its printer.
+
+A :class:`Word` is a finite sequence of atoms, each atom being a signed
+generator or a signed bracket ``<...>`` enclosing another word.  Words are
+kept *reduced* (no adjacent mutually-inverse atoms), so two words are equal
+as Python values exactly when they are equal in the free operated group.  The
+empty word is the group identity and prints as ``"1"``.
 
 Canonical text grammar (whitespace separated)::
 
@@ -19,10 +24,12 @@ emits angle brackets.
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Union
 
 __all__ = [
     "Atom",
+    "ReducedWord",
     "Word",
     "WordSyntaxError",
     "free_reduce",
@@ -114,24 +121,25 @@ class Atom:
         return _format_atom(self)
 
 
-class Word:
-    """A reduced sequence of atoms.  ``Word()`` is the group identity.
+class ReducedWord:
+    """A reduced tuple of letters, ``atoms``; the empty word is the identity.
 
-    The constructor reduces its input, so every Word is reduced by
-    construction; this realizes the group multiplication as plain
-    concatenation::
+    The constructor reduces its input, so the product is concatenation::
 
-        u * v   ==  Word(u.atoms + v.atoms)
+        u * v   ==  type(u)(u.atoms + v.atoms)
+
+    Equality and the product are strict about the subclass: words of two
+    theories are never equal and cannot be multiplied.
     """
 
     __slots__ = ("atoms", "_hash")
 
-    def __init__(self, atoms: Iterable[Atom] = ()):
+    def __init__(self, atoms: Iterable = ()):
         self.atoms = free_reduce(atoms)
         self._hash = hash(self.atoms)
 
     @classmethod
-    def _reduced(cls, atoms: tuple) -> "Word":
+    def _reduced(cls, atoms: tuple):
         # trusted constructor for a tuple of atoms already known to be reduced
         w = cls.__new__(cls)
         w.atoms = atoms
@@ -145,26 +153,40 @@ class Word:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def __iter__(self) -> Iterator[Atom]:
+    def __iter__(self) -> Iterator:
         return iter(self.atoms)
 
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
+    def __mul__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        return Word(self.atoms + other.atoms)
+        return type(self)(self.atoms + other.atoms)
 
-    def inverse(self) -> "Word":
-        return Word._reduced(tuple(a.inverse() for a in reversed(self.atoms)))
+    def inverse(self):
+        # the inverse of a reduced word is reduced
+        return self._reduced(tuple(a.inverse() for a in reversed(self.atoms)))
 
-    def __invert__(self) -> "Word":
+    def __invert__(self):
         return self.inverse()
 
-    def __pow__(self, n: int) -> "Word":
+    def __pow__(self, n: int):
         base = self if n >= 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        # one free reduction over |n| streamed copies, so no unreduced tuple
+        # of |n| * len(base) atoms is ever built
+        return type(self)(chain.from_iterable(repeat(base.atoms, abs(n))))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class Word(ReducedWord):
+    """A reduced sequence of atoms.  ``Word()`` is the group identity."""
+
+    __slots__ = ()
 
     def depth(self) -> int:
         """Maximal bracket nesting; 0 for bracket-free words and the identity."""
@@ -173,14 +195,6 @@ class Word:
     def breadth(self) -> int:
         """Number of atoms in the standard (reduced) factorization."""
         return len(self.atoms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self._hash == other._hash and self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return format_word(self)

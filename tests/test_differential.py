@@ -190,6 +190,13 @@ def test_eval_letter_iterates_operator():
         v = op[v]
 
 
+def test_eval_high_order_letter_does_not_recurse():
+    g = cyclic(4)
+    t = DiffTarget(g, lambda i: 0)
+    assert evaluate(parse_diff_word("x.5000"), {"x": 1}, t) == 0
+    assert evaluate(parse_diff_word("x.5000 x.0"), {"x": 1}, t) == 1
+
+
 def test_eval_identity_and_missing_generator():
     g = cyclic(2)
     t = DiffTarget(g, lambda i: g.identity_index)
@@ -234,6 +241,18 @@ def test_format_always_prints_order():
     w = derive(x0 * y0)
     assert format_diff_word(w) == "x.1 x.0 y.1 x.0^-1"
     assert format_diff_word(DiffWord()) == "1"
+
+
+@pytest.mark.parametrize("order", [1.5, True, False])
+def test_letter_order_must_be_an_int(order):
+    with pytest.raises(TypeError, match="int"):
+        DiffLetter("x", order)
+
+
+@pytest.mark.parametrize("symbol", ["1x", "", "x.1", "x y"])
+def test_letter_name_must_be_an_identifier(symbol):
+    with pytest.raises(ValueError, match="generator name"):
+        DiffLetter(symbol)
 
 
 @pytest.mark.parametrize("text,offset", [

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from opgroups.differential import DiffTarget
 from opgroups.finite import (
     EnumerationBudgetError,
     GroupTableError,
@@ -26,6 +27,7 @@ from opgroups.finite import (
     validate_action,
     validate_group,
 )
+from opgroups.rota_baxter import RBTarget
 
 
 # --- construction and validation ---------------------------------------------
@@ -160,6 +162,31 @@ def test_crossed_with_adjoint_equals_diff_plus():
             assert check_identity(g, op, Law.CROSSED, act) is None
         for op in enumerate_operators(g, Law.CROSSED, act):
             assert check_identity(g, op, Law.DIFF_PLUS) is None
+
+
+@pytest.mark.parametrize("target,law", [(DiffTarget, Law.DIFF_PLUS), (RBTarget, Law.RB_PLUS)])
+@pytest.mark.parametrize("make", [lambda: cyclic(2), lambda: cyclic(3), lambda: cyclic(4),
+                                  klein_four])
+def test_targets_accept_exactly_the_enumerated_operators(make, target, law):
+    g = make()
+    lawful = set(enumerate_operators(g, law))
+    for op in product(range(len(g)), repeat=len(g)):
+        try:
+            target(g, op.__getitem__)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (op in lawful), op
+
+
+def test_images_outside_the_carrier_are_rejected():
+    g = cyclic(3)
+    for op in [(0, -1, -2), (None, None, None), (0, 1, 3)]:
+        with pytest.raises(ValueError, match="not an element"):
+            check_identity(g, op, Law.ENDO)
+    for target in (DiffTarget, RBTarget):
+        with pytest.raises(ValueError, match="not an element"):
+            target(g, lambda i: None)
 
 
 def test_star_import_binds_adjoint_action():
@@ -323,4 +350,25 @@ def test_group_file_action_is_validated(tmp_path):
         "table: [[e, a], [a, e]]\n"
         "action: [[a, e], [e, a]]\n")
     with pytest.raises(ValueError, match="identity"):
+        load_group_file(path)
+
+
+GROUP_C2 = "elements: [e, a]\ntable: [[e, a], [a, e]]\n"
+
+
+@pytest.mark.parametrize("body,key", [
+    pytest.param(body, key, id=key) for body, key in [
+        ("elements: ea\ntable: [[e, a], [a, e]]\n", "elements"),
+        ("elements: [e, a]\ntable: ea\n", "table"),
+        ("elements: [e, a]\ntable: [[e, a], ae]\n", "table row 1"),
+        (GROUP_C2 + "operator: ea\n", "operator"),
+        (GROUP_C2 + "action: ea\n", "action"),
+        (GROUP_C2 + "action: [[e, a], ae]\n", "action row 1"),
+        (GROUP_C2 + "subgroups: {h: e}\n", "subgroups entry 'h'"),
+    ]
+])
+def test_group_file_rejects_a_string_for_a_list(tmp_path, body, key):
+    path = tmp_path / "bad.grp"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"^{key} must be a list, got str$"):
         load_group_file(path)

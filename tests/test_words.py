@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_word
+from helpers import random_diff_word, random_word
+from opgroups.differential import DiffWord
 from opgroups.words import Atom, Word, WordSyntaxError, format_word, gen, parse_word
 
 x, y, z = gen("x"), gen("y"), gen("z")
@@ -209,3 +210,27 @@ def test_atom_validation():
         Atom("x", 0)
     with pytest.raises(TypeError):
         Atom(42)
+
+
+# --- the shared reduced-word core ---------------------------------------------
+
+@pytest.mark.parametrize("random_of", [random_word, random_diff_word])
+def test_power_is_the_repeated_product(random_of):
+    rng = random.Random(31)
+    for _ in range(200):
+        w = random_of(rng)
+        identity = type(w)()
+        for n in range(-3, 4):
+            prod = identity
+            for _ in range(abs(n)):
+                prod = prod * (w if n > 0 else w.inverse())
+            assert w ** n == prod
+
+
+def test_words_of_two_theories_never_mix():
+    assert Word() != DiffWord()
+    assert DiffWord() != Word()
+    with pytest.raises(TypeError):
+        Word() * DiffWord()
+    with pytest.raises(TypeError):
+        DiffWord() * Word()
