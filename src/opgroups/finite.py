@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-import yaml
-
 from .operated import OperatedTarget
 
 __all__ = [
@@ -578,6 +576,7 @@ def load_group_file(path, *, max_size: int = DEFAULT_CHECK_BOUND) -> GroupData:
     ``action`` (matrix of names) and ``subgroups`` (mapping of name ->
     element list).  Unknown keys are rejected.
     """
+    import yaml  # only the group-file functions need it
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
@@ -619,6 +618,7 @@ def dump_group_file(path, group: FiniteGroup, *, operator: Optional[Sequence[int
                     action: Optional[Sequence[Sequence[int]]] = None,
                     subgroups: Optional[dict[str, Sequence[int]]] = None) -> None:
     """Write a group file readable by :func:`load_group_file`."""
+    import yaml
     data: dict = {
         "elements": list(group.elements),
         "table": [[group.name(x) for x in row] for row in group._table],

@@ -190,7 +190,13 @@ class Word(ReducedWord):
 
     def depth(self) -> int:
         """Maximal bracket nesting; 0 for bracket-free words and the identity."""
-        return max((a.depth() for a in self.atoms), default=0)
+        # an explicit stack of (word, its nesting), so deep words cannot overflow
+        best, stack = 0, [(self, 0)]
+        while stack:
+            w, d = stack.pop()
+            best = max(best, d)
+            stack.extend((a.base, d + 1) for a in w.atoms if a.is_bracket)
+        return best
 
     def breadth(self) -> int:
         """Number of atoms in the standard (reduced) factorization."""

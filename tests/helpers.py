@@ -1,5 +1,5 @@
 """Seeded random generators for words of the three theories, shared by the
-unit tests and the acceptance suite."""
+unit tests and the acceptance suite, and test oracles for the products."""
 
 from __future__ import annotations
 
@@ -72,3 +72,25 @@ def random_diff_word(rng: random.Random, *, max_len: int = 6, max_order: int = 2
             continue
         letters.append(a)
     return DiffWord(letters)
+
+
+def _derive_letter(a: DiffLetter) -> DiffWord:
+    up = DiffLetter(a.symbol, a.order + 1, 1)
+    if a.sign > 0:
+        return DiffWord((up,))
+    # D(z^-1) = z^-1 D(z)^-1 z for a single letter z
+    z = DiffLetter(a.symbol, a.order, 1)
+    return DiffWord((z.inverse(), up.inverse(), z))
+
+
+def derive_recursive(w: DiffWord) -> DiffWord:
+    """Oracle for ``differential.derive``: the weight-1 rule
+    D(z rest) = D(z) z D(rest) z^-1, folded from the right with every
+    intermediate word re-reduced (quadratic in the output)."""
+    if not w.atoms:
+        return DiffWord()
+    out = _derive_letter(w.atoms[-1])
+    for a in reversed(w.atoms[:-1]):
+        head = DiffWord((a,))
+        out = _derive_letter(a) * head * out * head.inverse()
+    return out

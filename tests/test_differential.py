@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_diff_word
+from helpers import derive_recursive, random_diff_word
 from opgroups.differential import (
     DiffLetter,
     DiffTarget,
@@ -80,6 +80,30 @@ def test_derive_power():
         derive_power(w, -1)
 
 
+def test_derive_matches_recursive_oracle():
+    rng = random.Random(31)
+    for _ in range(500):
+        w = random_diff_word(rng, max_len=8, max_order=3)
+        assert derive(w) == derive_recursive(w)
+
+
+def test_derive_power_matches_iterated_oracle():
+    rng = random.Random(37)
+    for _ in range(100):
+        w = random_diff_word(rng, max_len=4)
+        expected = w
+        for n in range(4):
+            assert derive_power(w, n) == expected
+            expected = derive_recursive(expected)
+
+
+def test_derive_power_length_triples():
+    # |D^n(x.0 y.0)| = 4 * 3^(n-1); n = 9 is 26,244 letters, so a derive that
+    # is quadratic in its output does not finish in reasonable time
+    for n in range(1, 10):
+        assert len(derive_power(x0 * y0, n)) == 4 * 3 ** (n - 1)
+
+
 # --- closed formulas as oracles ------------------------------------------------
 
 def test_product_formula_single_factor_collapses():
@@ -98,6 +122,22 @@ def test_product_formula_matches_derive():
             for g in gs:
                 prod = prod * g
             assert product_formula(gs) == derive(prod)
+
+
+def test_product_formula_of_long_factors_matches_oracle():
+    # factors of two or more letters, so the formula is not derive itself
+    rng = random.Random(41)
+
+    def factor():
+        while len(g := random_diff_word(rng, max_len=5)) < 2:
+            pass
+        return g
+
+    for n in (1, 2, 3, 4):
+        for _ in range(100):
+            gs = [factor() for _ in range(n)]
+            prod = DiffWord([a for g in gs for a in g.atoms])
+            assert product_formula(gs) == derive_recursive(prod)
 
 
 def test_product_formula_rejects_empty():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -316,6 +319,14 @@ def test_projection_operator_rejects_bad_factorizations():
 
 
 # --- group files ---------------------------------------------------------------
+
+def test_import_does_not_load_yaml():
+    # only the group-file functions need PyYAML, so they import it themselves
+    code = "import sys, opgroups; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
 
 def test_group_file_round_trip(tmp_path):
     g = dihedral(4)

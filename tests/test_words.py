@@ -100,6 +100,16 @@ def test_depth_and_breadth():
     assert (x * y * y.inverse()).breadth() == 1
 
 
+def test_depth_of_a_deep_chain_does_not_recurse():
+    # 2,000 nested brackets: past the default recursion limit
+    w = x
+    for _ in range(2000):
+        w = bracket(w)
+    assert w.depth() == 2000
+    assert w.atoms[0].depth() == 2000
+    assert (y * w.inverse() * bracket(x)).depth() == 2000
+
+
 def test_depth_breadth_inequalities_random():
     rng = random.Random(13)
     for _ in range(200):
