@@ -66,7 +66,13 @@ class DiffLetter:
         self._hash = hash((symbol, order, sign))
 
     def inverse(self) -> "DiffLetter":
-        return DiffLetter(self.symbol, self.order, -self.sign)
+        # the parts of a valid letter are valid, so skip the checks of __init__
+        a = DiffLetter.__new__(DiffLetter)
+        a.symbol = self.symbol
+        a.order = self.order
+        a.sign = -self.sign
+        a._hash = hash((self.symbol, self.order, a.sign))
+        return a
 
     def cancels(self, other: "DiffLetter") -> bool:
         return (self.sign == -other.sign and self.order == other.order

@@ -236,51 +236,68 @@ def adjoint_action(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _pair_status(group, images, law: Law, action, a, b) -> Optional[bool]:
-    # True = law holds at (a, b); False = violated; None = some needed image
-    # is still unassigned (only during enumeration).
-    m = group.mul
-    va, vb = images[a], images[b]
-    if va is None or vb is None:
-        return None
+def _pair_rule(rows, inv, law: Law, action) -> tuple[Callable, Callable]:
+    """The pair rule of ``law`` on the Cayley table ``rows`` with inverse
+    table ``inv``, as two functions over element indices.
+
+    ``rule(a, p, b, q)``, where ``p`` and ``q`` are the images of ``a`` and
+    ``b``, is ``(c, v)``: the law holds at the pair ``(a, b)`` exactly when
+    the image of ``c`` is ``v``.  For fixed ``a`` and ``p`` the map from
+    ``b`` to ``c`` is a bijection, and ``solve(a, p, c)`` is its inverse.
+    """
     if law is Law.ENDO:
-        vab = images[m(a, b)]
-        return None if vab is None else vab == m(va, vb)
-    if law is Law.DIFF_PLUS:
-        vab = images[m(a, b)]
-        return None if vab is None else vab == m(m(m(va, a), vb), group.inv(a))
-    if law is Law.DIFF_MINUS:
-        vab = images[m(a, b)]
-        return None if vab is None else vab == m(m(m(a, vb), group.inv(a)), va)
-    if law is Law.RB_PLUS:
-        arg = m(a, m(m(va, b), group.inv(va)))
-        varg = images[arg]
-        return None if varg is None else m(va, vb) == varg
-    if law is Law.RB_MINUS:
-        arg = m(m(m(va, b), group.inv(va)), a)
-        varg = images[arg]
-        return None if varg is None else m(va, vb) == varg
-    if law is Law.CROSSED:
-        vab = images[m(a, b)]
-        return None if vab is None else vab == m(va, action[a][vb])
-    raise ValueError(f"unknown law {law!r}")
+        rule = lambda a, p, b, q: (rows[a][b], rows[p][q])
+    elif law is Law.DIFF_PLUS:
+        rule = lambda a, p, b, q: (rows[a][b], rows[rows[rows[p][a]][q]][inv[a]])
+    elif law is Law.DIFF_MINUS:
+        rule = lambda a, p, b, q: (rows[a][b], rows[rows[rows[a][q]][inv[a]]][p])
+    elif law is Law.CROSSED:
+        rule = lambda a, p, b, q: (rows[a][b], rows[p][action[a][q]])
+    elif law is Law.RB_PLUS:
+        # c = a B(a) b B(a)^-1, so b = B(a)^-1 a^-1 c B(a)
+        return (lambda a, p, b, q: (rows[a][rows[rows[p][b]][inv[p]]], rows[p][q]),
+                lambda a, p, c: rows[rows[inv[p]][rows[inv[a]][c]]][p])
+    elif law is Law.RB_MINUS:
+        # c = C(a) b C(a)^-1 a, so b = C(a)^-1 c a^-1 C(a)
+        return (lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q]),
+                lambda a, p, c: rows[rows[inv[p]][rows[c][inv[a]]]][p])
+    else:
+        raise ValueError(f"unknown law {law!r}")
+    # the four laws above constrain c = ab, so b = a^-1 c
+    return rule, lambda a, p, c: rows[inv[a]][c]
 
 
 def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     """The first pair ``(a, b)``, in ``group.iter_elements()`` order, at which
     ``x -> images[x]`` breaks ``law``, or None.  ``images`` is a dict or, for
     a :class:`FiniteGroup`, a tuple; an image outside the carrier raises
-    ValueError."""
+    ValueError.
+
+    Each pair is tested by the law's pair rule (the one the operator search
+    uses), on the Cayley table of a :class:`FiniteGroup` or, for any other
+    carrier, on a table of its elements built with ``group.mul`` and
+    ``group.inv``.
+    """
     law = Law(law)
     elems = list(group.iter_elements())
-    carrier = set(elems)
-    for a in elems:
-        if images[a] not in carrier:
-            raise ValueError(f"the image {images[a]!r} of {a!r} is not an element")
-    for a in elems:
-        for b in elems:
-            if _pair_status(group, images, law, action, a, b) is False:
-                return a, b
+    pos = {x: i for i, x in enumerate(elems)}
+    for x in elems:
+        if images[x] not in pos:
+            raise ValueError(f"the image {images[x]!r} of {x!r} is not an element")
+    ims = [pos[images[x]] for x in elems]
+    if isinstance(group, FiniteGroup):
+        rows, inv = group._table, group._inv
+    else:
+        rows = [[pos[group.mul(x, y)] for y in elems] for x in elems]
+        inv = [pos[group.inv(x)] for x in elems]
+        if action is not None:
+            action = [[pos[action[x][y]] for y in elems] for x in elems]
+    rule, _ = _pair_rule(rows, inv, law, action)
+    for a, p in enumerate(ims):
+        for b, q in enumerate(ims):
+            c, v = rule(a, p, b, q)
+            if ims[c] != v:
+                return elems[a], elems[b]
     return None
 
 
@@ -333,8 +350,15 @@ def enumerate_operators(group: FiniteGroup, law: Law,
                         budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
     """All operator maps satisfying the law, in lexicographic image order.
 
-    Backtracks over partial maps, pruning as soon as an assigned triple of
-    images violates the law, so the practical cost is far below the |G|^|G|
+    Backtracks over partial maps, assigning the images of the elements in
+    index order.  The law's pair rule says that the pair ``(a, b)`` holds
+    when the image of some ``c`` takes some value, so the verdict on the
+    pair is decided exactly when the largest of ``a``, ``b`` and ``c`` gets
+    its image.  The node that assigns the image of ``k`` therefore checks
+    only the pairs it decides: the 2k + 1 pairs with ``a == k`` or
+    ``b == k``, and for each ``a < k`` the one ``b < k`` (if any) whose ``c``
+    is ``k``.  Each pair is checked once on a path and a branch is pruned at
+    the first broken one, so the practical cost is far below the |G|^|G|
     candidate bound enforced by ``budget``.
     """
     law = Law(law)
@@ -347,15 +371,25 @@ def enumerate_operators(group: FiniteGroup, law: Law,
         if action is None:
             raise ValueError("the crossed-homomorphism law needs an action")
         validate_action(group, action)
+    rule, solve = _pair_rule(group._table, group._inv, law, action)
 
     images: list[Optional[int]] = [None] * n
     found: list[tuple[int, ...]] = []
 
-    def consistent(k: int) -> bool:
-        for a in range(k + 1):
-            for b in range(k + 1):
-                if _pair_status(group, images, law, action, a, b) is False:
-                    return False
+    def decided_pairs_hold(k: int, p: int) -> bool:
+        # images[0..k] are assigned, and images[k] is p
+        for b in range(k + 1):
+            c, v = rule(k, p, b, images[b])
+            if c <= k and images[c] != v:
+                return False
+        for a in range(k):
+            pa = images[a]
+            c, v = rule(a, pa, k, p)
+            if c <= k and images[c] != v:
+                return False
+            b = solve(a, pa, k)
+            if b < k and rule(a, pa, b, images[b])[1] != p:
+                return False
         return True
 
     def extend(k: int) -> None:
@@ -364,7 +398,7 @@ def enumerate_operators(group: FiniteGroup, law: Law,
             return
         for img in range(n):
             images[k] = img
-            if consistent(k):
+            if decided_pairs_hold(k, img):
                 extend(k + 1)
         images[k] = None
 

@@ -70,13 +70,26 @@ def evaluate(w: Word, assignment: Mapping[str, object], target: OperatedTarget):
     """Image of ``w`` under the homomorphism sending each generator to its
     assigned carrier element and each bracket to ``target.op`` of its body."""
     g, op = target.group, target.op
+    values: dict[int, object] = {}  # id of a word -> its image
 
     def image(atom: Atom):
         if atom.is_bracket:
-            return op(multiply_images(atom.base, g, image))
+            return op(values[id(atom.base)])
         try:
             return assignment[atom.base]
         except KeyError:
             raise UnassignedGeneratorError(atom.base) from None
 
-    return multiply_images(w, g, image)
+    # w and its bracket bodies with every body after the word enclosing it,
+    # listed with an explicit stack so deep nesting cannot overflow the
+    # interpreter stack; valued in reverse, each body before its enclosure
+    order, stack = [], [w]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for a in u.atoms:
+            if a.is_bracket:
+                stack.append(a.base)
+    for u in reversed(order):
+        values[id(u)] = multiply_images(u, g, image)
+    return values[id(w)]

@@ -87,18 +87,38 @@ class DiamondLimitError(RuntimeError):
 
 def find_rb_violation(w: Word) -> Optional[str]:
     """Why ``w`` is not a Rota-Baxter word, or None if it is one."""
-    for i in range(len(w.atoms) - 1):
-        a, b = w.atoms[i], w.atoms[i + 1]
-        if a.is_bracket and b.is_bracket and a.sign == b.sign:
-            return f"adjacent same-sign brackets {a!r} {b!r} at positions {i}-{i + 1}"
-    for i, a in enumerate(w.atoms):
-        if a.is_bracket:
-            if a.base.is_identity:
-                return f"bracket with empty body at position {i} (the operator sends 1 to 1)"
-            inner = find_rb_violation(a.base)
-            if inner:
-                return f"inside bracket at position {i}: {inner}"
+    # depth first over the bracket bodies, with an explicit stack so deep
+    # nesting cannot overflow the interpreter stack; the path of a body is
+    # the pair (its position, the path of the word that encloses it)
+    stack = [(w, None)]
+    while stack:
+        u, path = stack.pop()
+        if path is not None and not u.atoms:
+            return (_inside(path[1]) + f"bracket with empty body at position {path[0]} "
+                    "(the operator sends 1 to 1)")
+        bodies = []
+        prev = 0  # the sign of the previous atom if it is a bracket, else 0
+        for i, a in enumerate(u.atoms):
+            if not a.is_bracket:
+                prev = 0
+            elif a.sign == prev:
+                return (_inside(path) + f"adjacent same-sign brackets {u.atoms[i - 1]!r} "
+                        f"{a!r} at positions {i - 1}-{i}")
+            else:
+                prev = a.sign
+                bodies.append((a.base, (i, path)))
+        bodies.reverse()
+        stack += bodies
     return None
+
+
+def _inside(path) -> str:
+    # "inside bracket at position i: " for each bracket on the path, outermost first
+    out = []
+    while path is not None:
+        out.append(f"inside bracket at position {path[0]}: ")
+        path = path[1]
+    return "".join(reversed(out))
 
 
 def is_rb_word(w: Word) -> bool:

@@ -101,7 +101,12 @@ class Atom:
         return self.base
 
     def inverse(self) -> "Atom":
-        return Atom(self.base, -self.sign)
+        # the parts of a valid atom are valid, so skip the checks of __init__
+        a = Atom.__new__(Atom)
+        a.base = self.base
+        a.sign = -self.sign
+        a._hash = hash((self.base, a.sign))
+        return a
 
     def cancels(self, other: "Atom") -> bool:
         return self.sign == -other.sign and self.base == other.base

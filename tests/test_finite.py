@@ -1,15 +1,18 @@
 import os
+import random
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from opgroups.differential import DiffTarget
 from opgroups.finite import (
     EnumerationBudgetError,
+    FiniteGroup,
     GroupTableError,
     Law,
+    LawTarget,
     adjoint_action,
     alternating,
     check_identity,
@@ -19,6 +22,7 @@ from opgroups.finite import (
     dihedral,
     dump_group_file,
     enumerate_operators,
+    first_violation,
     identity_operator,
     inversion_operator,
     klein_four,
@@ -139,22 +143,95 @@ def test_constant_identity_is_diff_plus():
         assert check_identity(g, constant_operator(g), Law.DIFF_PLUS) is None
 
 
-def test_check_returns_first_counterexample_in_element_order():
-    g = symmetric(3)
-    # the identity map is not a differential operator on a nonabelian group
-    bad = check_identity(g, identity_operator(g), Law.DIFF_PLUS)
-    assert bad is not None
-    m, inv = g.mul, g.inv
-    op = identity_operator(g)
-    expected = None
+# Independent oracle for the laws: each predicate is written out from the
+# formula in the comment on its Law member, with no code shared with finite.py.
+def law_holds(g, op, law, action, a, b):
+    m, i = g.mul, g.inv
+    if law is Law.ENDO:         # P(ab) = P(a) P(b)
+        return op[m(a, b)] == m(op[a], op[b])
+    if law is Law.DIFF_PLUS:    # D(ab) = D(a) a D(b) a^-1
+        return op[m(a, b)] == m(m(m(op[a], a), op[b]), i(a))
+    if law is Law.DIFF_MINUS:   # D(ab) = (a D(b) a^-1) D(a)
+        return op[m(a, b)] == m(m(m(a, op[b]), i(a)), op[a])
+    if law is Law.RB_PLUS:      # B(a) B(b) = B(a B(a) b B(a)^-1)
+        return m(op[a], op[b]) == op[m(m(m(a, op[a]), b), i(op[a]))]
+    if law is Law.RB_MINUS:     # C(a) C(b) = C((C(a) b C(a)^-1) a)
+        return m(op[a], op[b]) == op[m(m(m(op[a], b), i(op[a])), a)]
+    if law is Law.CROSSED:      # f(ab) = f(a) act(a, f(b))
+        return op[m(a, b)] == m(op[a], action[a][op[b]])
+    raise AssertionError(law)
+
+
+def first_broken_pair(g, op, law, action=None):
     for a in range(len(g)):
         for b in range(len(g)):
-            if op[m(a, b)] != m(m(m(op[a], a), op[b]), inv(a)):
-                expected = (g.name(a), g.name(b))
-                break
-        if expected:
-            break
-    assert bad == expected
+            if not law_holds(g, op, law, action, a, b):
+                return a, b
+    return None
+
+
+def relabel(g, order):
+    """A copy of ``g`` whose element ``k`` is the element ``order[k]`` of ``g``."""
+    pos = {x: k for k, x in enumerate(order)}
+    return FiniteGroup([g.name(x) for x in order],
+                       [[pos[g.mul(x, y)] for y in order] for x in order])
+
+
+def test_check_returns_first_counterexample_in_element_order():
+    # one map that breaks every law on S3, first at a different pair for most
+    # laws: check_identity and the LawTarget errors must name the first
+    # broken pair in element order
+    g = symmetric(3)
+    op = (0, 1, 0, 5, 1, 3)
+    for law in Law:
+        action = adjoint_action(g) if law is Law.CROSSED else None
+        a, b = first_broken_pair(g, op, law, action)
+        assert a != 0, law
+        assert check_identity(g, op, law, action) == (g.name(a), g.name(b)), law
+        if law is not Law.CROSSED:
+            target = type("Target", (LawTarget,), {"law": law, "rule": law.value})
+            with pytest.raises(ValueError, match=rf"^{law.value} fails at the pair \({a}, {b}\)$"):
+                target(g, op.__getitem__)
+
+
+class PermutationCarrier:
+    """S3 as tuples of images, a carrier that is not a FiniteGroup."""
+
+    def __init__(self):
+        self.perms = sorted(permutations(range(3)))
+
+    def identity(self):
+        return (0, 1, 2)
+
+    def mul(self, p, q):
+        return tuple(p[q[i]] for i in range(3))
+
+    def inv(self, p):
+        return tuple(sorted(range(3), key=p.__getitem__))
+
+    def iter_elements(self):
+        return iter(self.perms)
+
+
+def test_first_violation_on_a_carrier_that_is_not_a_finite_group():
+    c = PermutationCarrier()
+    g = FiniteGroup([str(p) for p in c.perms],
+                    [[c.perms.index(c.mul(p, q)) for q in c.perms] for p in c.perms])
+    act = adjoint_action(g)
+    c_act = {p: {x: c.perms[act[i][j]] for j, x in enumerate(c.perms)}
+             for i, p in enumerate(c.perms)}
+    rng = random.Random(43)
+    maps = [identity_operator(g), inversion_operator(g), constant_operator(g)]
+    maps += [tuple(rng.randrange(6) for _ in range(6)) for _ in range(40)]
+    for law in Law:
+        maps += enumerate_operators(g, law, act if law is Law.CROSSED else None)[:3]
+    for op in maps:
+        images = {p: c.perms[op[i]] for i, p in enumerate(c.perms)}
+        for law in Law:
+            action, c_action = (act, c_act) if law is Law.CROSSED else (None, None)
+            bad = first_broken_pair(g, op, law, action)
+            expected = None if bad is None else (c.perms[bad[0]], c.perms[bad[1]])
+            assert first_violation(c, images, law, c_action) == expected, (op, law)
 
 
 def test_crossed_with_adjoint_equals_diff_plus():
@@ -209,20 +286,27 @@ def test_action_validation_rejects_bad_matrix():
 def brute_force_operators(g, law, action=None):
     """Oracle: test every one of the |G|^|G| candidate maps directly."""
     n = len(g)
-    out = []
-    for images in product(range(n), repeat=n):
-        if check_identity(g, images, law, action) is None:
-            out.append(images)
-    return out
+    return [images for images in product(range(n), repeat=n)
+            if first_broken_pair(g, images, law, action) is None]
 
 
 @pytest.mark.parametrize("law", [Law.ENDO, Law.DIFF_PLUS, Law.DIFF_MINUS,
-                                 Law.RB_PLUS, Law.RB_MINUS])
+                                 Law.RB_PLUS, Law.RB_MINUS, Law.CROSSED])
 @pytest.mark.parametrize("make", [lambda: cyclic(2), lambda: cyclic(3),
-                                  lambda: cyclic(4), lambda: symmetric(3)])
+                                  lambda: cyclic(4), lambda: symmetric(3),
+                                  # the identity last
+                                  lambda: relabel(cyclic(4), (3, 2, 1, 0)),
+                                  lambda: relabel(klein_four(), (3, 2, 1, 0)),
+                                  lambda: relabel(symmetric(3), (5, 4, 3, 2, 1, 0)),
+                                  # generators first, so the search assigns a
+                                  # product only after its factors: a, a^3 in
+                                  # C4 and the transpositions in S3
+                                  lambda: relabel(cyclic(4), (1, 3, 0, 2)),
+                                  lambda: relabel(symmetric(3), (1, 2, 5, 0, 3, 4))])
 def test_enumeration_matches_brute_force(make, law):
     g = make()
-    assert enumerate_operators(g, law) == brute_force_operators(g, law)
+    action = adjoint_action(g) if law is Law.CROSSED else None
+    assert enumerate_operators(g, law, action) == brute_force_operators(g, law, action)
 
 
 def test_enumeration_counts_z2_z3():

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from helpers import random_word
+from opgroups import rota_baxter
 from opgroups.finite import (
     Law,
     constant_operator,
     cyclic,
     enumerate_operators,
     identity_operator,
+    inversion_operator,
     symmetric,
 )
 from opgroups.operated import OperatedTarget, UnassignedGeneratorError, bracket, evaluate
@@ -73,6 +75,24 @@ def test_eval_unassigned_generator_names_symbol():
     t = OperatedTarget(g, table_op(identity_operator(g)))
     with pytest.raises(UnassignedGeneratorError, match="'y'"):
         evaluate(x * y, {"x": 1}, t)
+
+
+def test_eval_deep_nesting_does_not_recurse():
+    # <<...<x>...>> with 2,000 brackets: evaluating one bracket level per
+    # interpreter frame would overflow the stack
+    w = x
+    for _ in range(2000):
+        w = bracket(w)
+    z3 = cyclic(3)
+    t = OperatedTarget(z3, lambda i: z3.mul(i, 1))
+    assert evaluate(w, {"x": 1}, t) == (1 + 2000) % 3
+    s3 = symmetric(3)
+    r = s3.index("(123)")
+    # the inversion map is a Rota-Baxter operator; an even number of
+    # brackets gives back the generator's image
+    rb = rota_baxter.RBTarget(s3, table_op(inversion_operator(s3)))
+    assert rota_baxter.evaluate(w, {"x": r}, rb) == r
+    assert rota_baxter.evaluate(bracket(w), {"x": r}, rb) == s3.inv(r)
 
 
 def _random_targets():
