@@ -4,7 +4,7 @@ groups on explicit words, together with a finite-group operator laboratory
 realizing each free object's universal property.
 """
 
-from . import differential, finite, operated, rota_baxter, words
+from . import differential, finite, groups, operated, rota_baxter, words
 from .words import Atom, Word, WordSyntaxError, format_word, gen, parse_word
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "finite",
     "format_word",
     "gen",
+    "groups",
     "operated",
     "parse_word",
     "rota_baxter",

@@ -1,10 +1,11 @@
-"""Finite groups given by Cayley tables, and operator identities on them.
+"""Operator identities on the finite groups of :mod:`opgroups.groups`.
 
-This is the brute-force laboratory: load/validate a multiplication table,
-check a self-map against one of the operator laws (endomorphism, weight +-1
-differential, weight +-1 Rota-Baxter, crossed homomorphism), enumerate all
-maps satisfying a law, convert between the two Rota-Baxter weights, and build
-the projection operator of an exact factorization.
+This is the brute-force laboratory: load a group file, check a self-map
+against one of the operator laws (endomorphism, weight +-1 differential,
+weight +-1 Rota-Baxter, crossed homomorphism), enumerate all maps satisfying
+a law, convert between the two Rota-Baxter weights, and build the projection
+operator of an exact factorization.  It re-exports the names of
+:mod:`opgroups.groups`.
 
 Carrier elements are the indices ``0..n-1`` of the element-name list; an
 operator map is a length-n tuple of image indices.
@@ -12,10 +13,12 @@ operator map is a length-n tuple of image indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from .groups import (DEFAULT_CHECK_BOUND, FiniteGroup, GroupTableError, alternating, cyclic,
+                     dihedral, klein_four, quaternion, symmetric, validate_group)
 from .operated import OperatedTarget
 
 __all__ = [
@@ -48,129 +51,12 @@ __all__ = [
     "validate_group",
 ]
 
-DEFAULT_CHECK_BOUND = 64
 DEFAULT_ENUM_BOUND = 12
 DEFAULT_ENUM_BUDGET = 10**8
 
 
-class GroupTableError(ValueError):
-    """The raw table fails one of the group axioms (the message says which)."""
-
-
 class EnumerationBudgetError(ValueError):
     """The operator search space exceeds the configured budget."""
-
-
-class FiniteGroup:
-    """A finite group backed by an exhaustively validated Cayley table.
-
-    ``elements`` are the element names; all arithmetic is on indices into
-    that list.  Construction checks closure, identity, inverses and full
-    associativity, so an instance is always a genuine group.
-    """
-
-    def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]], *,
-                 max_size: int = DEFAULT_CHECK_BOUND):
-        names = tuple(elements)
-        n = len(names)
-        if n == 0:
-            raise GroupTableError("empty table")
-        if n > max_size:
-            raise GroupTableError(f"group order {n} exceeds the checking bound {max_size}")
-        if len(set(names)) != n:
-            raise GroupTableError("element names are not unique")
-        if any(not isinstance(s, str) or not s for s in names):
-            raise GroupTableError("element names must be nonempty strings")
-        rows = tuple(tuple(row) for row in table)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise GroupTableError(f"table is not {n}x{n}")
-        for row in rows:
-            for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
-                    raise GroupTableError(f"table is not closed: entry {x!r} is not an element index")
-
-        self.elements = names
-        self._table = rows
-        self._index = {s: i for i, s in enumerate(names)}
-
-        ident = None
-        for e in range(n):
-            if all(rows[e][j] == j and rows[j][e] == j for j in range(n)):
-                ident = e
-                break
-        if ident is None:
-            raise GroupTableError("no identity element")
-        self.identity_index = ident
-
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] == ident and rows[j][i] == ident:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise GroupTableError(f"element {names[i]!r} has no inverse")
-        self._inv = tuple(inv)
-
-        for a in range(n):
-            for b in range(n):
-                ab = rows[a][b]
-                for c in range(n):
-                    if rows[ab][c] != rows[a][rows[b][c]]:
-                        raise GroupTableError(
-                            f"associativity fails at ({names[a]}, {names[b]}, {names[c]})")
-
-        self._abelian = all(rows[a][b] == rows[b][a] for a in range(n) for b in range(a))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __repr__(self) -> str:
-        return f"FiniteGroup({len(self)} elements: {', '.join(self.elements[:6])}{'...' if len(self) > 6 else ''})"
-
-    # carrier interface used by the evaluators (elements are indices)
-    def identity(self) -> int:
-        return self.identity_index
-
-    def mul(self, a: int, b: int) -> int:
-        return self._table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
-
-    def iter_elements(self) -> range:
-        return range(len(self.elements))
-
-    @property
-    def is_abelian(self) -> bool:
-        return self._abelian
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise ValueError(f"unknown element name {name!r}") from None
-
-    def name(self, i: int) -> str:
-        return self.elements[i]
-
-
-def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]], *,
-                   max_size: int = DEFAULT_CHECK_BOUND) -> FiniteGroup:
-    """Build a FiniteGroup from a table of element *names*, checking all axioms."""
-    names = list(elements)
-    pos = {s: i for i, s in enumerate(names)}
-    if len(pos) != len(names):
-        raise GroupTableError("element names are not unique")
-    rows = []
-    for row in table:
-        out = []
-        for entry in row:
-            if entry not in pos:
-                raise GroupTableError(f"table is not closed: {entry!r} is not a declared element")
-            out.append(pos[entry])
-        rows.append(out)
-    return FiniteGroup(names, rows, max_size=max_size)
 
 
 # --- operator maps ----------------------------------------------------------
@@ -288,8 +174,7 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     if isinstance(group, FiniteGroup):
         rows, inv = group._table, group._inv
     else:
-        rows = [[pos[group.mul(x, y)] for y in elems] for x in elems]
-        inv = [pos[group.inv(x)] for x in elems]
+        rows, inv = _carrier_tables(group, elems, pos)
         if action is not None:
             action = [[pos[action[x][y]] for y in elems] for x in elems]
     rule, _ = _pair_rule(rows, inv, law, action)
@@ -299,6 +184,23 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
             if ims[c] != v:
                 return elems[a], elems[b]
     return None
+
+
+def _carrier_tables(group, elems: list, pos: dict) -> tuple[list, list]:
+    # the Cayley and inverse tables of an enumerable carrier, by element
+    # index, naming a product or an inverse that leaves the carrier
+    rows = [[pos.get(group.mul(x, y)) for y in elems] for x in elems]
+    for x, row in zip(elems, rows):
+        if None in row:
+            y = elems[row.index(None)]
+            raise ValueError(f"the carrier is not closed: the product of {x!r} and {y!r} "
+                             f"is {group.mul(x, y)!r}, not an element")
+    inv = [pos.get(group.inv(x)) for x in elems]
+    if None in inv:
+        x = elems[inv.index(None)]
+        raise ValueError(f"the carrier is not closed: the inverse of {x!r} "
+                         f"is {group.inv(x)!r}, not an element")
+    return rows, inv
 
 
 def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
@@ -462,136 +364,19 @@ def projection_operator(group: FiniteGroup, first: Iterable, second: Iterable) -
     return tuple(images)  # type: ignore[arg-type]
 
 
-# --- standard groups --------------------------------------------------------
-
-def cyclic(n: int) -> FiniteGroup:
-    """The cyclic group of order n with elements e, a, a2, ..."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    names = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(names, table)
-
-
-def klein_four() -> FiniteGroup:
-    """The Klein four-group (Z/2 x Z/2) with elements e, a, b, c."""
-    return FiniteGroup(["e", "a", "b", "c"], [[i ^ j for j in range(4)] for i in range(4)])
-
-
-def dihedral(n: int) -> FiniteGroup:
-    """The dihedral group of order 2n: rotations r^i and reflections r^i s."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-
-    def nm(i, f):
-        r = "e" if i == 0 else "r" if i == 1 else f"r{i}"
-        if not f:
-            return r
-        return "s" if i == 0 else r + "s"
-
-    elems = [(i, f) for f in (0, 1) for i in range(n)]
-    names = [nm(i, f) for i, f in elems]
-    pos = {e: k for k, e in enumerate(elems)}
-
-    def mul(x, y):
-        (i, f), (j, g) = x, y
-        return ((i + (j if f == 0 else -j)) % n, f ^ g)
-
-    table = [[pos[mul(x, y)] for y in elems] for x in elems]
-    return FiniteGroup(names, table)
-
-
-def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _cycle_name(p: tuple[int, ...]) -> str:
-    seen: set[int] = set()
-    parts = []
-    for s in range(len(p)):
-        if s in seen or p[s] == s:
-            continue
-        cyc = [s]
-        seen.add(s)
-        x = p[s]
-        while x != s:
-            cyc.append(x)
-            seen.add(x)
-            x = p[x]
-        parts.append("(" + "".join(str(v + 1) for v in cyc) + ")")
-    return "".join(parts) or "e"
-
-
-def _perm_group(perms: list[tuple[int, ...]]) -> FiniteGroup:
-    perms = sorted(perms)
-    pos = {p: k for k, p in enumerate(perms)}
-    names = [_cycle_name(p) for p in perms]
-    table = [[pos[_perm_mul(p, q)] for q in perms] for p in perms]
-    return FiniteGroup(names, table)
-
-
-def _parity(p: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
-
-
-def symmetric(n: int) -> FiniteGroup:
-    """The symmetric group on n points (n <= 4), named in cycle notation."""
-    from itertools import permutations
-
-    if not 1 <= n <= 4:
-        raise ValueError("only n <= 4 is supported as an explicit table")
-    return _perm_group([tuple(p) for p in permutations(range(n))])
-
-
-def alternating(n: int) -> FiniteGroup:
-    """The alternating group on n points (n <= 4)."""
-    from itertools import permutations
-
-    if not 1 <= n <= 4:
-        raise ValueError("only n <= 4 is supported as an explicit table")
-    return _perm_group([tuple(p) for p in permutations(range(n)) if _parity(tuple(p)) == 0])
-
-
-def quaternion() -> FiniteGroup:
-    """The quaternion group {1, -1, i, -i, j, -j, k, -k}."""
-    units = "1ijk"
-    prod = {("1", u): (1, u) for u in units}
-    prod.update({(u, "1"): (1, u) for u in units})
-    for u in "ijk":
-        prod[(u, u)] = (-1, "1")
-    prod[("i", "j")] = (1, "k")
-    prod[("j", "i")] = (-1, "k")
-    prod[("j", "k")] = (1, "i")
-    prod[("k", "j")] = (-1, "i")
-    prod[("k", "i")] = (1, "j")
-    prod[("i", "k")] = (-1, "j")
-
-    elems = [(s, u) for u in units for s in (1, -1)]
-    names = [("" if s == 1 else "-") + u for s, u in elems]
-    pos = {e: k for k, e in enumerate(elems)}
-
-    def mul(x, y):
-        s, u = prod[(x[1], y[1])]
-        return (s * x[0] * y[0], u)
-
-    table = [[pos[mul(x, y)] for y in elems] for x in elems]
-    return FiniteGroup(names, table)
-
-
 # --- group files ------------------------------------------------------------
 
 _FILE_KEYS = {"elements", "table", "operator", "action", "subgroups"}
 
 
-@dataclass
-class GroupData:
+class GroupData(NamedTuple):
     """Contents of a group file: the validated group plus optional extras."""
 
     group: FiniteGroup
     operator: Optional[tuple[int, ...]] = None
     action: Optional[tuple[tuple[int, ...], ...]] = None
-    subgroups: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    # read-only, so the one empty default is safe to share
+    subgroups: Mapping[str, tuple[int, ...]] = MappingProxyType({})
 
 
 def _as_list(value, what: str) -> list:

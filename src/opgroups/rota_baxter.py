@@ -20,14 +20,18 @@ negative brackets merge through the inverse of the swapped positive merge.
 Each merge can expose a new collision on its left, so combination cascades
 until the word is again a Rota-Baxter word.
 
-Two implementations are provided: :func:`diamond`, structured as the case
-split on standard factorizations, and :func:`diamond_rewrite`, a flat
-leftmost-first fixpoint rewriting of the concatenated atom sequence.  They
-are cross-checked against each other in the test suite.  Each call of
-:func:`diamond` or :func:`diamond_conjugate` memoises its subproducts for the
-length of that call: the bracket merges ask for the same ``(u, v)`` pairs
-many times over, and each is computed once.  The memo is dropped when the
-call returns, so no memory outlives a product.
+There is one production product, a stack machine: the atoms of the right
+factor are pushed one at a time onto those of the left, and the top atom and
+the incoming one cancel, merge into one bracket that is pushed in place of
+the incoming atom, or stay side by side.  This is leftmost-first rewriting of
+the concatenated atoms.  Only a merge recurses, and only into the bracket
+bodies, so the product recurses as deep as the brackets nest, not once per
+letter.  Each call of :func:`diamond` or :func:`diamond_conjugate` memoises
+its merges, keyed by the pair of bracket atoms, for the length of that call:
+the merges of nested brackets ask for the same pairs many times over, and each
+is computed once.  The memo is dropped when the call returns, so no memory
+outlives a product.  The test suite checks the product against a flat,
+unmemoised rewriting oracle.
 
 Because the Rota-Baxter relation forces ``B(1) = 1`` in every group carrying
 such an operator (``B(1)B(1) = B(1 · B(1) 1 B(1)^-1) = B(1)``), the bracket
@@ -59,7 +63,6 @@ __all__ = [
     "RBTarget",
     "diamond",
     "diamond_conjugate",
-    "diamond_rewrite",
     "evaluate",
     "find_rb_violation",
     "is_rb_word",
@@ -67,22 +70,22 @@ __all__ = [
     "rb_inverse",
 ]
 
-# The guard counts the distinct subproducts one product computes (memo
-# misses), not the recursive calls; squaring <<<<<x>>>>> takes 4,427.
+# The guard counts the distinct bracket merges one product makes (memo
+# misses), not the requests for them; squaring <<<<<x>>>>> takes 453.
 DEFAULT_GUARD_STEPS = 1_000_000
 
-# The product builds its words from pieces of reduced words that it knows
-# not to cancel (see the seam split in _diamond_step), so it skips free
-# reduction.
+# The product's stack machine leaves its stack reduced (see _Product.push),
+# so it skips free reduction.
 _word = Word._reduced
+_UNSEEN = object()  # a merge not yet in the memo; None is a merged empty body
 
 
 class DiamondLimitError(RuntimeError):
-    """The recursion guard fired: one product computed more distinct
-    subproducts than its ``max_steps`` budget.  This signals a bug in the
-    product recursion, not a property of the input; it must never happen for
-    valid Rota-Baxter words under the default budget.  The message names the
-    budget and the lengths and depths of the two operands."""
+    """The recursion guard fired: one product made more distinct bracket
+    merges than its ``max_steps`` budget.  This signals a bug in the product,
+    not a property of the input; it must never happen for valid Rota-Baxter
+    words under the default budget.  The message names the budget and the
+    lengths and depths of the two operands."""
 
 
 def find_rb_violation(w: Word) -> Optional[str]:
@@ -151,17 +154,53 @@ def rb_inverse(w: Word) -> Word:
     return w.inverse()
 
 
-class _Guard:
-    # One per top-level product: the step budget, the operands named when it
-    # fires, and the memo of every subproduct computed so far in this call.
-    __slots__ = ("left", "budget", "u", "v", "memo")
+class _Product:
+    # One per top-level product: the memo of every bracket merge made so far
+    # in this call, the merge budget and the operands named when it runs out.
+    __slots__ = ("memo", "left", "budget", "u", "v")
 
     def __init__(self, steps: int, u: Word, v: Word):
+        self.memo: dict[tuple[Atom, Atom], Optional[Atom]] = {}
         self.left = self.budget = steps
         self.u, self.v = u, v
-        self.memo: dict[tuple[Word, Word], Word] = {}
 
-    def tick(self) -> None:
+    def push(self, stack: list, incoming) -> list:
+        # The free_reduce loop with one more rule: push each incoming atom
+        # onto the stack, popping the top when the two cancel, and when they
+        # are same-sign brackets popping the top and pushing their merge in
+        # place of the incoming atom.  The stack starts, and so stays, with
+        # no two adjacent atoms that cancel or merge, so this is the
+        # leftmost-first rewriting of the stack followed by the incoming atoms.
+        for b in incoming:
+            while stack:
+                a = stack[-1]
+                if a.sign != b.sign:
+                    if a.base == b.base:
+                        stack.pop()
+                        b = None
+                    break
+                if isinstance(a.base, str) or isinstance(b.base, str):
+                    break
+                stack.pop()
+                b = self.merge(a, b)
+                if b is None:
+                    break
+            if b is not None:
+                stack.append(b)
+        return stack
+
+    def merge(self, a: Atom, b: Atom) -> Optional[Atom]:
+        # <ā> <b̄> = < ā ⋄ AD >, or None when the body comes out empty (the
+        # bracket of 1 is 1); two negative brackets merge as the inverse of
+        # the swapped positive merge.  Only here does the product recurse,
+        # and only into the bracket bodies.
+        if a.sign < 0:
+            m = self.merge(b.inverse(), a.inverse())
+            return None if m is None else m.inverse()
+        key = (a, b)
+        m = self.memo.get(key, _UNSEEN)
+        if m is not _UNSEEN:
+            return m
         self.left -= 1
         if self.left < 0:
             u, v = self.u, self.v
@@ -169,58 +208,15 @@ class _Guard:
                 f"diamond recursion guard exceeded: more than {self.budget} distinct "
                 f"subproducts for operands of length {len(u)} and {len(v)}, "
                 f"depth {u.depth()} and {v.depth()}")
+        body = self.push(list(a.base.atoms), self.twist(a, b.base))
+        m = self.memo[key] = Atom(_word(tuple(body)), 1) if body else None
+        return m
 
-
-def _diamond(u: Word, v: Word, guard: _Guard) -> Word:
-    # _diamond is a pure function of two immutable words, and the bracket
-    # merges ask for the same subproducts many times over, so each is
-    # computed once per top-level call; only those computations tick.
-    key = (u, v)
-    r = guard.memo.get(key)
-    if r is None:
-        guard.tick()
-        r = guard.memo[key] = _diamond_step(u, v, guard)
-    return r
-
-
-def _diamond_step(u: Word, v: Word, guard: _Guard) -> Word:
-    if not u.atoms:
-        return v
-    if not v.atoms:
-        return u
-    ua, va = u.atoms, v.atoms
-    if len(ua) == 1 and len(va) == 1:
-        a, b = ua[0], va[0]
-        if a.is_bracket and b.is_bracket:
-            if a.sign == 1 and b.sign == 1:
-                # <ā> ⋄ <b̄> = < ā ⋄ AD_<ā>(b̄) >, collapsing an empty body
-                twist = _ad(a, b.base, guard)
-                body = _diamond(a.base, twist, guard)
-                if body.is_identity:
-                    return body
-                return _word((Atom(body, 1),))
-            if a.sign == -1 and b.sign == -1:
-                # swap into the positive case and invert
-                return _diamond(_word((b.inverse(),)), _word((a.inverse(),)), guard).inverse()
-        if a.cancels(b):
-            return _word(())
-        return _word((a, b))
-    # split off the seam pair; a collapse there may expose new collisions,
-    # which the recursive products resolve.  A two-atom seam is the pair
-    # itself, unchanged, so the concatenation stays reduced.
-    mid = _diamond(_word(ua[-1:]), _word(va[:1]), guard)
-    if len(mid) == 2:
-        return _word(ua[:-1] + mid.atoms + va[1:])
-    left = _diamond(_word(ua[:-1]), mid, guard)
-    return _diamond(left, _word(va[1:]), guard)
-
-
-def _ad(u_atom: Atom, vbar: Word, guard: _Guard) -> Word:
-    # Twist of vbar by the positive bracket u: the left-bracketed conjugate
-    # (u ⋄ vbar) ⋄ u^-1, so that every factor of vbar meets its left
-    # neighbour before the closing u^-1 meets the last factor
-    u = _word((u_atom,))
-    return _diamond(_diamond(u, vbar, guard), u.inverse(), guard)
+    def twist(self, a: Atom, vbar: Word) -> list:
+        # AD of vbar by the positive bracket a: the left-bracketed conjugate
+        # (a ⋄ vbar) ⋄ a^-1, so every factor of vbar meets its left
+        # neighbour before the closing a^-1 meets the last one
+        return self.push(self.push([a], vbar.atoms), (a.inverse(),))
 
 
 def diamond(u: Word, v: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
@@ -228,72 +224,29 @@ def diamond(u: Word, v: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
 
     Both arguments must be Rota-Baxter words; the result is one.  The empty
     word is the two-sided identity and ``diamond(w, rb_inverse(w))`` is the
-    identity.
+    identity, whatever the length of ``w``.
 
-    ``max_steps`` bounds the number of distinct subproducts the call
-    computes; each is memoised for the rest of the call, so asking for it
-    again costs no step.  :class:`DiamondLimitError` is raised beyond it.
+    The atoms of ``v`` are pushed one at a time onto those of ``u``; see the
+    module docstring.  ``max_steps`` bounds the number of distinct bracket
+    merges the call makes; each is memoised for the rest of the call, so
+    asking for it again costs no step.  :class:`DiamondLimitError` is raised
+    beyond it.
     """
     _require_rb(u, "left factor")
     _require_rb(v, "right factor")
-    return _diamond(u, v, _Guard(max_steps, u, v))
+    return _word(tuple(_Product(max_steps, u, v).push(list(u.atoms), v.atoms)))
 
 
 def diamond_conjugate(u: Word, vbar: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
     """The twist AD of ``vbar`` by a one-atom positive bracket ``u``: the
     left-bracketed diamond conjugation ``(u ⋄ vbar) ⋄ u^-1``, the body twist
     that :func:`diamond` uses to merge ``u`` with ``<vbar>``.  ``max_steps``
-    bounds its distinct subproducts as in :func:`diamond`."""
+    bounds its distinct bracket merges as in :func:`diamond`."""
     if len(u.atoms) != 1 or not u.atoms[0].is_bracket or u.atoms[0].sign != 1:
         raise ValueError("conjugating element must be a single positive bracket <...>")
     _require_rb(u, "conjugating element")
     _require_rb(vbar, "conjugated word")
-    return _ad(u.atoms[0], vbar, _Guard(max_steps, u, vbar))
-
-
-# --- independent oracle: fixpoint rewriting ----------------------------------
-
-def diamond_rewrite(u: Word, v: Word) -> Word:
-    """Oracle for :func:`diamond`: concatenate the atom sequences, then apply
-    three local rules at the leftmost applicable position until none applies:
-    cancel mutually-inverse neighbours, merge adjacent positive brackets,
-    merge adjacent negative brackets."""
-    _require_rb(u, "left factor")
-    _require_rb(v, "right factor")
-    return Word(_rewrite_fix(list(u.atoms) + list(v.atoms)))
-
-
-def _rewrite_fix(atoms: list[Atom]) -> list[Atom]:
-    i = 0
-    while i + 1 < len(atoms):
-        a, b = atoms[i], atoms[i + 1]
-        if a.cancels(b):
-            del atoms[i:i + 2]
-            i = max(i - 1, 0)
-            continue
-        if a.is_bracket and b.is_bracket and a.sign == b.sign:
-            if a.sign == 1:
-                merged = _merge_positive(a, b)
-            else:
-                pos = _merge_positive(b.inverse(), a.inverse())
-                merged = pos.inverse() if pos is not None else None
-            atoms[i:i + 2] = [] if merged is None else [merged]
-            i = max(i - 1, 0)
-            continue
-        i += 1
-    return atoms
-
-
-def _merge_positive(a: Atom, b: Atom) -> Optional[Atom]:
-    # <ā><b̄> -> < ā ⋄ AD > with every product evaluated by rewriting;
-    # None when the body comes out empty (the bracket of 1 is 1).  Rewriting
-    # a b̄ a^-1 leftmost-first reaches the last pair only once a b̄ is
-    # irreducible, so the twist is the left-bracketed (a ⋄ b̄) ⋄ a^-1.
-    twist = _rewrite_fix([a] + list(b.base.atoms) + [a.inverse()])
-    body = _rewrite_fix(list(a.base.atoms) + twist)
-    if not body:
-        return None
-    return Atom(Word(body), 1)
+    return _word(tuple(_Product(max_steps, u, vbar).twist(u.atoms[0], vbar)))
 
 
 # --- evaluation into Rota-Baxter groups --------------------------------------

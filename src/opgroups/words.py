@@ -123,7 +123,7 @@ class Atom:
         return self._hash
 
     def __repr__(self) -> str:
-        return _format_atom(self)
+        return format_word(Word._reduced((self,)))
 
 
 class ReducedWord:
@@ -273,19 +273,27 @@ def _tokenize(text: str) -> list[tuple[int, object, int]]:
     return toks
 
 
-def _parse_level(toks, i: int, closer, open_pos: int, end: int):
-    # one grammar level: "1", or a nonempty run of terms, ended by `closer`
-    # (a token kind) or by end of input when closer is None
+def parse_word(text: str) -> Word:
+    """Parse text into a reduced Word.
+
+    Unreduced input such as ``"x x^-1"`` is accepted and silently reduced.
+    Raises :class:`WordSyntaxError` with a byte offset on malformed input.
+    """
+    # One grammar level is "1" or a nonempty run of terms.  An open bracket
+    # saves the enclosing level on an explicit stack, so deep nesting cannot
+    # overflow; its closer builds the body and resumes the enclosing level.
+    stack: list[tuple[list, bool, object, int]] = []
     atoms: list[Atom] = []
     saw_one = False
-    while True:
-        if i == len(toks):
-            if closer is None:
-                break
-            raise WordSyntaxError("unbalanced bracket: missing closer", open_pos)
-        kind, val, pos = toks[i]
+    closer, open_pos = None, 0  # the token kind that ends this level, and its opener's offset
+    for kind, val, pos in _tokenize(text):
         if kind == closer:
-            break
+            if not atoms and not saw_one:
+                raise WordSyntaxError("empty word (write '1' for the identity)", open_pos)
+            body = Word(atoms)
+            atoms, saw_one, closer, open_pos = stack.pop()
+            atoms.append(Atom(body, val))
+            continue
         if kind in (_CLOSE, _CLOSE_B):
             if closer is None:
                 raise WordSyntaxError("unbalanced bracket: unexpected closer", pos)
@@ -294,47 +302,50 @@ def _parse_level(toks, i: int, closer, open_pos: int, end: int):
             if atoms or saw_one:
                 raise WordSyntaxError("'1' must stand alone", pos)
             saw_one = True
-            i += 1
             continue
         if saw_one:
             raise WordSyntaxError("'1' must stand alone", pos)
         if kind == _GEN:
             name, sign = val
             atoms.append(Atom(name, sign))
-            i += 1
             continue
-        # kind is _OPEN or _OPEN_B: recurse
-        want = _CLOSE if kind == _OPEN else _CLOSE_B
-        body, i = _parse_level(toks, i + 1, want, pos, end)
-        sign = toks[i][1]
-        atoms.append(Atom(body, sign))
-        i += 1
+        # kind is _OPEN or _OPEN_B
+        stack.append((atoms, saw_one, closer, open_pos))
+        atoms, saw_one = [], False
+        closer, open_pos = (_CLOSE if kind == _OPEN else _CLOSE_B), pos
+    if closer is not None:
+        raise WordSyntaxError("unbalanced bracket: missing closer", open_pos)
     if not atoms and not saw_one:
-        raise WordSyntaxError("empty word (write '1' for the identity)", open_pos if closer else end)
-    return Word(atoms), i
-
-
-def parse_word(text: str) -> Word:
-    """Parse text into a reduced Word.
-
-    Unreduced input such as ``"x x^-1"`` is accepted and silently reduced.
-    Raises :class:`WordSyntaxError` with a byte offset on malformed input.
-    """
-    toks = _tokenize(text)
-    word, i = _parse_level(toks, 0, None, 0, len(text))
-    assert i == len(toks)
-    return word
-
-
-def _format_atom(a: Atom) -> str:
-    suffix = "" if a.sign > 0 else "^-1"
-    if a.is_bracket:
-        return f"<{format_word(a.base)}>{suffix}"
-    return a.base + suffix
+        raise WordSyntaxError("empty word (write '1' for the identity)", len(text))
+    return Word(atoms)
 
 
 def format_word(w: Word) -> str:
-    """Canonical text form; ``parse_word(format_word(w)) == w`` exactly."""
-    if not w.atoms:
-        return "1"
-    return " ".join(_format_atom(a) for a in w.atoms)
+    """Canonical text form; ``parse_word(format_word(w)) == w`` exactly.
+
+    One pass over the atoms with an explicit stack, so deep nesting cannot
+    overflow, and with a memo of the text of each bracket body for the length
+    of the call: bracket merges and ``**`` share body objects, so each
+    distinct body is printed once however often it occurs.
+    """
+    texts: dict[int, str] = {}  # id of a body -> its text; w keeps every body alive
+    # frames of the words being printed, w first: (word, rest of its atoms, texts so far, sign)
+    frames = [(w, iter(w.atoms), [], 1)]
+    while True:
+        body, rest, parts, sign = frames[-1]
+        for a in rest:
+            base = a.base
+            if isinstance(base, str):
+                parts.append(base if a.sign > 0 else base + "^-1")
+                continue
+            text = texts.get(id(base))
+            if text is None:
+                frames.append((base, iter(base.atoms), [], a.sign))
+                break
+            parts.append(f"<{text}>" if a.sign > 0 else f"<{text}>^-1")
+        else:
+            frames.pop()
+            text = texts[id(body)] = " ".join(parts) or "1"
+            if not frames:
+                return text
+            frames[-1][2].append(f"<{text}>" if sign > 0 else f"<{text}>^-1")

@@ -4,8 +4,10 @@ unit tests and the acceptance suite, and test oracles for the products."""
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from opgroups.differential import DiffLetter, DiffWord
+from opgroups.rota_baxter import _require_rb
 from opgroups.words import Atom, Word
 
 ALPHABET = ("x", "y", "z")
@@ -94,3 +96,48 @@ def derive_recursive(w: DiffWord) -> DiffWord:
         head = DiffWord((a,))
         out = _derive_letter(a) * head * out * head.inverse()
     return out
+
+
+# --- independent oracle: fixpoint rewriting ----------------------------------
+
+def diamond_rewrite(u: Word, v: Word) -> Word:
+    """Oracle for :func:`diamond`: concatenate the atom sequences, then apply
+    three local rules at the leftmost applicable position until none applies:
+    cancel mutually-inverse neighbours, merge adjacent positive brackets,
+    merge adjacent negative brackets."""
+    _require_rb(u, "left factor")
+    _require_rb(v, "right factor")
+    return Word(_rewrite_fix(list(u.atoms) + list(v.atoms)))
+
+
+def _rewrite_fix(atoms: list[Atom]) -> list[Atom]:
+    i = 0
+    while i + 1 < len(atoms):
+        a, b = atoms[i], atoms[i + 1]
+        if a.cancels(b):
+            del atoms[i:i + 2]
+            i = max(i - 1, 0)
+            continue
+        if a.is_bracket and b.is_bracket and a.sign == b.sign:
+            if a.sign == 1:
+                merged = _merge_positive(a, b)
+            else:
+                pos = _merge_positive(b.inverse(), a.inverse())
+                merged = pos.inverse() if pos is not None else None
+            atoms[i:i + 2] = [] if merged is None else [merged]
+            i = max(i - 1, 0)
+            continue
+        i += 1
+    return atoms
+
+
+def _merge_positive(a: Atom, b: Atom) -> Optional[Atom]:
+    # <ā><b̄> -> < ā ⋄ AD > with every product evaluated by rewriting;
+    # None when the body comes out empty (the bracket of 1 is 1).  Rewriting
+    # a b̄ a^-1 leftmost-first reaches the last pair only once a b̄ is
+    # irreducible, so the twist is the left-bracketed (a ⋄ b̄) ⋄ a^-1.
+    twist = _rewrite_fix([a] + list(b.base.atoms) + [a.inverse()])
+    body = _rewrite_fix(list(a.base.atoms) + twist)
+    if not body:
+        return None
+    return Atom(Word(body), 1)

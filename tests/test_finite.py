@@ -269,6 +269,33 @@ def test_images_outside_the_carrier_are_rejected():
             target(g, lambda i: None)
 
 
+def test_a_carrier_that_is_not_closed_is_named():
+    class Open:
+        # 0, 1, 2 under integer addition: 1 + 2 and the inverse of 1 leave it
+        def identity(self):
+            return 0
+
+        def iter_elements(self):
+            return range(3)
+
+        def mul(self, a, b):
+            return a + b
+
+        def inv(self, a):
+            return -a
+
+    with pytest.raises(ValueError, match=r"not closed: the product of 1 and 2 is 3, "
+                       r"not an element"):
+        DiffTarget(Open(), lambda a: 0)
+
+    class OpenInverse(Open):
+        def mul(self, a, b):
+            return (a + b) % 3
+
+    with pytest.raises(ValueError, match=r"not closed: the inverse of 1 is -1, not an element"):
+        first_violation(OpenInverse(), {0: 0, 1: 0, 2: 0}, Law.DIFF_PLUS)
+
+
 def test_star_import_binds_adjoint_action():
     ns = {}
     exec("from opgroups.finite import *", ns)
@@ -407,6 +434,14 @@ def test_projection_operator_rejects_bad_factorizations():
 def test_import_does_not_load_yaml():
     # only the group-file functions need PyYAML, so they import it themselves
     code = "import sys, opgroups; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at import
+    code = "import sys, opgroups; print('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"

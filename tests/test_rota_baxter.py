@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_rb_word
+from helpers import diamond_rewrite, random_rb_word
 from opgroups.finite import Law, cyclic, dihedral, enumerate_operators, symmetric
 from opgroups.operated import UnassignedGeneratorError, bracket
 from opgroups.rota_baxter import (
@@ -10,7 +10,6 @@ from opgroups.rota_baxter import (
     RBTarget,
     diamond,
     diamond_conjugate,
-    diamond_rewrite,
     evaluate,
     find_rb_violation,
     is_rb_word,
@@ -119,6 +118,38 @@ def test_diamond_agrees_with_rewriting_oracle():
     for _ in range(2000):
         u, v = random_rb_word(rng), random_rb_word(rng)
         assert diamond(u, v) == diamond_rewrite(u, v)
+
+
+def _chain(core: Word, length: int, sign: int) -> Word:
+    # `length` nested positive brackets around core, the outermost one signed
+    for _ in range(length):
+        core = rb_bracket(core)
+    return core if sign > 0 else rb_inverse(core)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("left", [1, 2, 3, 4])
+@pytest.mark.parametrize("right", [1, 2, 3, 4])
+def test_diamond_merges_same_sign_chains_like_the_oracle(left, right, sign):
+    # the seam shape of the benchmark: two same-sign chains of nested
+    # brackets, each with shallow atoms on its far side
+    rng = random.Random(100 * left + 10 * right + sign)
+    core = lambda: random_rb_word(rng, max_depth=0, max_breadth=3, nonempty=True)
+    side = lambda: random_rb_word(rng, max_depth=1, max_breadth=2)
+    for _ in range(3):
+        u = diamond(side(), _chain(core(), left, sign))
+        v = diamond(_chain(core(), right, sign), side())
+        got = diamond(u, v)
+        assert got == diamond_rewrite(u, v)
+        assert is_rb_word(got)
+
+
+def test_diamond_cancels_a_long_word():
+    # one stack push per letter, so 15,000 cancellations do not recurse
+    w = (x * bracket(y * rb_inverse(bracket(z))) * z.inverse()) ** 5000
+    assert len(w) == 15_000
+    assert diamond(w, rb_inverse(w)) == Word() == diamond_rewrite(w, rb_inverse(w))
+    assert diamond(w, w) == w ** 2 == diamond_rewrite(w, w)
 
 
 def test_diamond_rewrite_trivia():

@@ -137,6 +137,30 @@ def test_parse_b_alias():
     assert parse_word("B B(x)") == gen("B") * bracket(x)
 
 
+def test_deep_chain_round_trips_through_printer_and_parser():
+    # 2,000 nested brackets: past the default recursion limit
+    w = x * y.inverse()
+    for _ in range(2000):
+        w = bracket(w, -1) * x
+    text = format_word(w)
+    assert text.startswith("<" * 2000 + "x y^-1>^-1 x>^-1 x>^-1")
+    assert text.endswith(">^-1 x")
+    back = parse_word(text)
+    assert back.depth() == 2000 and format_word(back) == text
+    chain = "<" * 2000 + "x" + ">" * 2000
+    assert format_word(parse_word(chain)) == chain
+
+
+def test_printer_shares_repeated_bodies_and_atoms_print_alike():
+    # ** repeats one body object; it prints like a freshly parsed equal word
+    w = (bracket(x * bracket(y)) * z) ** 50
+    assert format_word(w) == " ".join(["<x <y>> z"] * 50)
+    assert format_word(w) == format_word(parse_word(format_word(w)))
+    a = bracket(x * bracket(y, -1), -1).atoms[0]
+    assert repr(a) == format_word(Word((a,))) == "<x <y>^-1>^-1"
+    assert repr(Atom("x", -1)) == "x^-1"
+
+
 def test_parse_one():
     assert parse_word("1") == Word()
     assert parse_word("<1>") == bracket(Word())
