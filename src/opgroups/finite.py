@@ -122,14 +122,15 @@ def adjoint_action(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _pair_rule(rows, inv, law: Law, action) -> tuple[Callable, Callable]:
+def _pair_rule(rows, inv, law: Law, action) -> Callable:
     """The pair rule of ``law`` on the Cayley table ``rows`` with inverse
-    table ``inv``, as two functions over element indices.
+    table ``inv``, as a function over element indices.
 
     ``rule(a, p, b, q)``, where ``p`` and ``q`` are the images of ``a`` and
     ``b``, is ``(c, v)``: the law holds at the pair ``(a, b)`` exactly when
-    the image of ``c`` is ``v``.  For fixed ``a`` and ``p`` the map from
-    ``b`` to ``c`` is a bijection, and ``solve(a, p, c)`` is its inverse.
+    the image of ``c`` is ``v``.  ``c`` depends on ``a``, ``p`` and ``b``
+    only, so once the images of ``a`` and ``b`` are known the image of
+    ``c`` is forced.
     """
     if law is Law.ENDO:
         rule = lambda a, p, b, q: (rows[a][b], rows[p][q])
@@ -140,17 +141,14 @@ def _pair_rule(rows, inv, law: Law, action) -> tuple[Callable, Callable]:
     elif law is Law.CROSSED:
         rule = lambda a, p, b, q: (rows[a][b], rows[p][action[a][q]])
     elif law is Law.RB_PLUS:
-        # c = a B(a) b B(a)^-1, so b = B(a)^-1 a^-1 c B(a)
-        return (lambda a, p, b, q: (rows[a][rows[rows[p][b]][inv[p]]], rows[p][q]),
-                lambda a, p, c: rows[rows[inv[p]][rows[inv[a]][c]]][p])
+        # c = a B(a) b B(a)^-1
+        rule = lambda a, p, b, q: (rows[a][rows[rows[p][b]][inv[p]]], rows[p][q])
     elif law is Law.RB_MINUS:
-        # c = C(a) b C(a)^-1 a, so b = C(a)^-1 c a^-1 C(a)
-        return (lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q]),
-                lambda a, p, c: rows[rows[inv[p]][rows[c][inv[a]]]][p])
+        # c = C(a) b C(a)^-1 a
+        rule = lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q])
     else:
         raise ValueError(f"unknown law {law!r}")
-    # the four laws above constrain c = ab, so b = a^-1 c
-    return rule, lambda a, p, c: rows[inv[a]][c]
+    return rule
 
 
 def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
@@ -177,7 +175,7 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
         rows, inv = _carrier_tables(group, elems, pos)
         if action is not None:
             action = [[pos[action[x][y]] for y in elems] for x in elems]
-    rule, _ = _pair_rule(rows, inv, law, action)
+    rule = _pair_rule(rows, inv, law, action)
     for a, p in enumerate(ims):
         for b, q in enumerate(ims):
             c, v = rule(a, p, b, q)
@@ -252,16 +250,19 @@ def enumerate_operators(group: FiniteGroup, law: Law,
                         budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
     """All operator maps satisfying the law, in lexicographic image order.
 
-    Backtracks over partial maps, assigning the images of the elements in
-    index order.  The law's pair rule says that the pair ``(a, b)`` holds
-    when the image of some ``c`` takes some value, so the verdict on the
-    pair is decided exactly when the largest of ``a``, ``b`` and ``c`` gets
-    its image.  The node that assigns the image of ``k`` therefore checks
-    only the pairs it decides: the 2k + 1 pairs with ``a == k`` or
-    ``b == k``, and for each ``a < k`` the one ``b < k`` (if any) whose ``c``
-    is ``k``.  Each pair is checked once on a path and a branch is pruned at
-    the first broken one, so the practical cost is far below the |G|^|G|
-    candidate bound enforced by ``budget``.
+    Assigns and propagates.  The law's pair rule says that the pair
+    ``(a, b)`` holds exactly when the image of some ``c`` takes some value
+    ``v``, so once ``a`` and ``b`` have images the image of ``c`` is forced.
+    The search branches on the lowest-index element without an image, trying
+    each image in turn.  Every element that gets an image, by a branch or by
+    force, joins a queue; taking ``k`` off the queue runs the rule on the
+    pairs ``(k, a)`` and ``(a, k)`` for ``k`` and every element taken off
+    before it.  A forced image of an element without one is set and queued,
+    and a forced image that differs from the one already set prunes the
+    branch.  So on each path every ordered pair is checked exactly once, the
+    maps found are exactly those satisfying the law, and the practical cost
+    is far below the |G|^|G| candidate bound enforced by ``budget``.  The
+    found maps are sorted at the end.
     """
     law = Law(law)
     n = len(group)
@@ -273,38 +274,55 @@ def enumerate_operators(group: FiniteGroup, law: Law,
         if action is None:
             raise ValueError("the crossed-homomorphism law needs an action")
         validate_action(group, action)
-    rule, solve = _pair_rule(group._table, group._inv, law, action)
+    rule = _pair_rule(group._table, group._inv, law, action)
 
     images: list[Optional[int]] = [None] * n
+    # the elements with an image, in the order they got it: the queue, the
+    # elements taken off it (a prefix) and the trail undone on backtracking
+    trail: list[int] = []
     found: list[tuple[int, ...]] = []
 
-    def decided_pairs_hold(k: int, p: int) -> bool:
-        # images[0..k] are assigned, and images[k] is p
-        for b in range(k + 1):
-            c, v = rule(k, p, b, images[b])
-            if c <= k and images[c] != v:
-                return False
-        for a in range(k):
-            pa = images[a]
-            c, v = rule(a, pa, k, p)
-            if c <= k and images[c] != v:
-                return False
-            b = solve(a, pa, k)
-            if b < k and rule(a, pa, b, images[b])[1] != p:
-                return False
+    def propagate(x: int, p: int) -> bool:
+        # give x the image p and every image that forces; False on a conflict
+        images[x] = p
+        head = len(trail)
+        trail.append(x)
+        while head < len(trail):
+            k = trail[head]
+            pk = images[k]
+            head += 1
+            # the (c, v) forced by the pairs of k with itself and with each
+            # element taken off the queue before it
+            forced = [rule(k, pk, k, pk)]
+            for a in trail[:head - 1]:
+                pa = images[a]
+                forced.append(rule(k, pk, a, pa))
+                forced.append(rule(a, pa, k, pk))
+            for c, v in forced:
+                pc = images[c]
+                if pc is None:
+                    images[c] = v
+                    trail.append(c)
+                elif pc != v:
+                    return False
         return True
 
-    def extend(k: int) -> None:
-        if k == n:
+    def extend(x: int) -> None:
+        while x < n and images[x] is not None:
+            x += 1
+        if x == n:
             found.append(tuple(images))  # type: ignore[arg-type]
             return
-        for img in range(n):
-            images[k] = img
-            if decided_pairs_hold(k, img):
-                extend(k + 1)
-        images[k] = None
+        mark = len(trail)
+        for p in range(n):
+            if propagate(x, p):
+                extend(x + 1)
+            for y in trail[mark:]:
+                images[y] = None
+            del trail[mark:]
 
     extend(0)
+    found.sort()
     return found
 
 

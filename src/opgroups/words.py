@@ -117,7 +117,26 @@ class Atom:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Atom):
             return NotImplemented
-        return self._hash == other._hash and self.sign == other.sign and self.base == other.base
+        if self.base is other.base:  # as in every lookup of the diamond's merge memo
+            return self.sign == other.sign
+        # an explicit stack of the atom pairs still to compare, so that equal
+        # words nested thousands deep do not recurse through __eq__
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.sign != b.sign:
+                return False
+            u, v = a.base, b.base
+            if isinstance(u, str) or isinstance(v, str):
+                if u != v:
+                    return False
+            elif u is not v:
+                if u._hash != v._hash or len(u.atoms) != len(v.atoms):
+                    return False
+                stack.extend(zip(u.atoms, v.atoms))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -182,7 +201,7 @@ class ReducedWord:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._hash == other._hash and self.atoms == other.atoms
+        return self is other or (self._hash == other._hash and self.atoms == other.atoms)
 
     def __hash__(self) -> int:
         return self._hash

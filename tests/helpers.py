@@ -1,5 +1,6 @@
 """Seeded random generators for words of the three theories, shared by the
-unit tests and the acceptance suite, and test oracles for the products."""
+unit tests and the acceptance suite, and test oracles for the products and
+the operator search."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 from typing import Optional
 
 from opgroups.differential import DiffLetter, DiffWord
+from opgroups.finite import Law, _pair_rule
 from opgroups.rota_baxter import _require_rb
 from opgroups.words import Atom, Word
 
@@ -141,3 +143,53 @@ def _merge_positive(a: Atom, b: Atom) -> Optional[Atom]:
     if not body:
         return None
     return Atom(Word(body), 1)
+
+
+# --- oracle: the prefix search ----------------------------------------------
+
+def enumerate_operators_prefix(group, law, action=None) -> list[tuple[int, ...]]:
+    """Oracle for :func:`opgroups.finite.enumerate_operators`: assign the
+    images in index order, with no propagation, and after each assignment
+    check the pairs whose verdict it decides, by the law's pair rule.  The
+    maps come out in lexicographic image order."""
+    rule = _pair_rule(group._table, group._inv, Law(law), action)
+    n = len(group)
+    images: list[int] = []
+    found = []
+    p = 0  # the next image to try for element len(images)
+    while True:
+        if p == n:
+            if not images:
+                return found
+            p = images.pop() + 1
+            continue
+        images.append(p)
+        if _decided_pairs_hold(rule, images):
+            if len(images) < n:
+                p = 0
+                continue
+            found.append(tuple(images))
+        p = images.pop() + 1
+
+
+def _decided_pairs_hold(rule, images: list[int]) -> bool:
+    # images[0..k] are assigned.  The pair (a, b) holds when the image of c
+    # is v, so its verdict is decided once the largest of a, b and c has an
+    # image: check the pairs where that is k.
+    k = len(images) - 1
+    p = images[k]
+    for b in range(k + 1):
+        c, v = rule(k, p, b, images[b])
+        if c <= k and images[c] != v:
+            return False
+    for a in range(k):
+        pa = images[a]
+        c, v = rule(a, pa, k, p)
+        if c <= k and images[c] != v:
+            return False
+        # the pairs (a, b) with b < k whose c is k, found by scanning b
+        for b in range(k):
+            c, v = rule(a, pa, b, images[b])
+            if c == k and v != p:
+                return False
+    return True

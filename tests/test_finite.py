@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from helpers import enumerate_operators_prefix
 from opgroups.differential import DiffTarget
 from opgroups.finite import (
     EnumerationBudgetError,
@@ -334,6 +335,28 @@ def test_enumeration_matches_brute_force(make, law):
     g = make()
     action = adjoint_action(g) if law is Law.CROSSED else None
     assert enumerate_operators(g, law, action) == brute_force_operators(g, law, action)
+
+
+CATALOGUE = {**{f"C{n}": (lambda n=n: cyclic(n)) for n in range(2, 9)}, "V4": klein_four,
+             "S3": lambda: symmetric(3), "D4": lambda: dihedral(4), "Q8": quaternion}
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_enumeration_matches_prefix_search(name):
+    # the propagating search against the plain prefix search, on every group
+    # of order <= 8 and every law, with the identity last and under a seeded
+    # shuffle (D4 and Q8 are out of the brute-force oracle's reach)
+    g = CATALOGUE[name]()
+    e = g.identity_index
+    shuffled = list(range(len(g)))
+    random.Random(name).shuffle(shuffled)
+    for order in ([x for x in range(len(g)) if x != e] + [e], shuffled):
+        h = relabel(g, order)
+        for law in Law:
+            action = adjoint_action(h) if law is Law.CROSSED else None
+            ops = enumerate_operators(h, law, action)
+            assert ops == sorted(ops), (order, law)
+            assert ops == enumerate_operators_prefix(h, law, action), (order, law)
 
 
 def test_enumeration_counts_z2_z3():

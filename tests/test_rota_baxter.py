@@ -172,8 +172,8 @@ def test_guard_error_names_budget_and_operands():
 
 
 def test_depth_five_square_computes_each_subproduct_once():
-    # one product memoises its subproducts: 4,427 distinct ones here, where
-    # recomputing them on every request took about 2.8e7 steps
+    # one product memoises its bracket merges: 453 distinct ones here, where
+    # recomputing every subproduct on every request took about 2.8e7 steps
     w = parse_word("<<<<<x>>>>>")
     r = diamond(w, w, max_steps=10_000)
     assert is_rb_word(r) and not r.is_identity

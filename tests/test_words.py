@@ -151,6 +151,18 @@ def test_deep_chain_round_trips_through_printer_and_parser():
     assert format_word(parse_word(chain)) == chain
 
 
+def test_equality_of_deep_chains_does_not_recurse():
+    # two separately parsed 2,000-deep chains share no body object, so
+    # comparing them walks every level
+    chain = "<" * 2000 + "x y^-1" + ">" * 2000
+    u, v = parse_word(chain), parse_word(chain)
+    assert u.atoms[0].base is not v.atoms[0].base
+    assert u == v and u.atoms[0] == v.atoms[0] and hash(u) == hash(v)
+    assert u * v.inverse() == Word()
+    assert u != parse_word("<" * 2000 + "x y" + ">" * 2000)
+    assert u != parse_word("<" * 1999 + "x y^-1" + ">" * 1999)
+
+
 def test_printer_shares_repeated_bodies_and_atoms_print_alike():
     # ** repeats one body object; it prints like a freshly parsed equal word
     w = (bracket(x * bracket(y)) * z) ** 50
