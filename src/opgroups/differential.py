@@ -65,14 +65,17 @@ class DiffLetter:
         self.sign = sign
         self._hash = hash((symbol, order, sign))
 
-    def inverse(self) -> "DiffLetter":
-        # the parts of a valid letter are valid, so skip the checks of __init__
-        a = DiffLetter.__new__(DiffLetter)
-        a.symbol = self.symbol
-        a.order = self.order
-        a.sign = -self.sign
-        a._hash = hash((self.symbol, self.order, a.sign))
+    @classmethod
+    def _make(cls, symbol: str, order: int, sign: int) -> "DiffLetter":
+        # trusted constructor for parts already known to be valid: a name
+        # matched by _IDENT_RE, an int order >= 0 and a sign of +1 or -1
+        a = cls.__new__(cls)
+        a.symbol, a.order, a.sign = symbol, order, sign
+        a._hash = hash((symbol, order, sign))
         return a
+
+    def inverse(self) -> "DiffLetter":
+        return DiffLetter._make(self.symbol, self.order, -self.sign)
 
     def cancels(self, other: "DiffLetter") -> bool:
         return (self.sign == -other.sign and self.order == other.order
@@ -117,7 +120,7 @@ def derive(w: DiffWord) -> DiffWord:
     pieces: list[DiffLetter] = []
     for a in w.atoms:
         # D(z) z is x.n+1 x.n for z = x.n, and x.n^-1 x.n+1^-1 for z = x.n^-1
-        up = DiffLetter(a.symbol, a.order + 1, a.sign)
+        up = DiffLetter._make(a.symbol, a.order + 1, a.sign)
         pieces += (up, a) if a.sign > 0 else (a, up)
     return DiffWord(chain(pieces, w.inverse().atoms))
 
@@ -161,7 +164,7 @@ def shift_orders(w: DiffWord) -> DiffWord:
     Unlike :func:`derive` it is a plain group endomorphism and does not
     satisfy the weight-1 product rule.
     """
-    return DiffWord(DiffLetter(a.symbol, a.order + 1, a.sign) for a in w.atoms)
+    return DiffWord(DiffLetter._make(a.symbol, a.order + 1, a.sign) for a in w.atoms)
 
 
 # --- evaluation into differential groups -------------------------------------
@@ -215,7 +218,11 @@ def parse_diff_word(text: str) -> DiffWord:
         if not m:
             raise WordSyntaxError(f"invalid letter {tok!r}", pos)
         name, order, inv = m.groups()
-        letters.append(DiffLetter(name, int(order) if order else 0, -1 if inv else 1))
+        try:
+            letters.append(DiffLetter._make(name, int(order or 0), -1 if inv else 1))
+        except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+            raise WordSyntaxError(f"derivative order of {name!r} has too many digits",
+                                  pos) from None
     return DiffWord(letters)
 
 

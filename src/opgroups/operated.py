@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .words import Atom, Word
+from .words import Atom, Word, _children_first
 
 __all__ = [
     "OperatedTarget",
@@ -73,23 +73,15 @@ def evaluate(w: Word, assignment: Mapping[str, object], target: OperatedTarget):
     values: dict[int, object] = {}  # id of a word -> its image
 
     def image(atom: Atom):
-        if atom.is_bracket:
-            return op(values[id(atom.base)])
-        try:
-            return assignment[atom.base]
-        except KeyError:
-            raise UnassignedGeneratorError(atom.base) from None
+        base = atom.base
+        if isinstance(base, str):
+            try:
+                return assignment[base]
+            except KeyError:
+                raise UnassignedGeneratorError(base) from None
+        return op(values[id(base)])
 
-    # w and its bracket bodies with every body after the word enclosing it,
-    # listed with an explicit stack so deep nesting cannot overflow the
-    # interpreter stack; valued in reverse, each body before its enclosure
-    order, stack = [], [w]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for a in u.atoms:
-            if a.is_bracket:
-                stack.append(a.base)
-    for u in reversed(order):
+    # each distinct body once, before every word that encloses it
+    for u in _children_first(w):
         values[id(u)] = multiply_images(u, g, image)
     return values[id(w)]

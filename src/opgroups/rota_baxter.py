@@ -92,17 +92,21 @@ def find_rb_violation(w: Word) -> Optional[str]:
     """Why ``w`` is not a Rota-Baxter word, or None if it is one."""
     # depth first over the bracket bodies, with an explicit stack so deep
     # nesting cannot overflow the interpreter stack; the path of a body is
-    # the pair (its position, the path of the word that encloses it)
-    stack = [(w, None)]
+    # the pair (its position, the path of the word that encloses it).  A body
+    # object met again (merges and ** share them) was checked whole already.
+    stack, checked = [(w, None)], set()
     while stack:
         u, path = stack.pop()
+        if id(u) in checked:
+            continue
+        checked.add(id(u))
         if path is not None and not u.atoms:
             return (_inside(path[1]) + f"bracket with empty body at position {path[0]} "
                     "(the operator sends 1 to 1)")
         bodies = []
         prev = 0  # the sign of the previous atom if it is a bracket, else 0
         for i, a in enumerate(u.atoms):
-            if not a.is_bracket:
+            if isinstance(a.base, str):
                 prev = 0
             elif a.sign == prev:
                 return (_inside(path) + f"adjacent same-sign brackets {u.atoms[i - 1]!r} "
@@ -209,7 +213,7 @@ class _Product:
                 f"subproducts for operands of length {len(u)} and {len(v)}, "
                 f"depth {u.depth()} and {v.depth()}")
         body = self.push(list(a.base.atoms), self.twist(a, b.base))
-        m = self.memo[key] = Atom(_word(tuple(body)), 1) if body else None
+        m = self.memo[key] = Atom._make(_word(tuple(body)), 1) if body else None
         return m
 
     def twist(self, a: Atom, vbar: Word) -> list:

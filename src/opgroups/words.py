@@ -18,7 +18,11 @@ Canonical text grammar (whitespace separated)::
     ident  := [A-Za-z_][A-Za-z0-9_]*
 
 ``B(...)`` is accepted as an input alias for ``<...>``; the printer always
-emits angle brackets.
+emits angle brackets.  The parser reads the tokens below, with optional
+whitespace between them and no "1" followed by a letter, digit or "_", and
+reports the leftmost error of a malformed text::
+
+    token  := "<" | "B(" | (">" | ")") ["^-1"] | "1" | ident ["^-1"]
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class WordSyntaxError(ValueError):
-    """Malformed word text; ``position`` is the byte offset of the problem."""
+    """Malformed word text; ``position`` is the offset of the problem, in characters."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
@@ -100,13 +104,16 @@ class Atom:
             raise ValueError("generator atom has no bracket body")
         return self.base
 
-    def inverse(self) -> "Atom":
-        # the parts of a valid atom are valid, so skip the checks of __init__
-        a = Atom.__new__(Atom)
-        a.base = self.base
-        a.sign = -self.sign
-        a._hash = hash((self.base, a.sign))
+    @classmethod
+    def _make(cls, base: Union[str, "Word"], sign: int) -> "Atom":
+        # trusted constructor for parts already known to be valid: a name
+        # matched by _IDENT_RE or a Word, and a sign of +1 or -1
+        a = cls.__new__(cls)
+        a.base, a.sign, a._hash = base, sign, hash((base, sign))
         return a
+
+    def inverse(self) -> "Atom":
+        return Atom._make(self.base, -self.sign)
 
     def cancels(self, other: "Atom") -> bool:
         return self.sign == -other.sign and self.base == other.base
@@ -214,13 +221,11 @@ class Word(ReducedWord):
 
     def depth(self) -> int:
         """Maximal bracket nesting; 0 for bracket-free words and the identity."""
-        # an explicit stack of (word, its nesting), so deep words cannot overflow
-        best, stack = 0, [(self, 0)]
-        while stack:
-            w, d = stack.pop()
-            best = max(best, d)
-            stack.extend((a.base, d + 1) for a in w.atoms if a.is_bracket)
-        return best
+        depths: dict[int, int] = {}  # id of a body -> its depth
+        for u in _children_first(self):
+            depths[id(u)] = max((depths[id(a.base)] + 1 for a in u.atoms
+                                 if not isinstance(a.base, str)), default=0)
+        return depths[id(self)]
 
     def breadth(self) -> int:
         """Number of atoms in the standard (reduced) factorization."""
@@ -230,6 +235,25 @@ class Word(ReducedWord):
         return format_word(self)
 
 
+def _children_first(w: Word) -> list:
+    """``w`` and its bracket bodies, each distinct body object once and after
+    every body it contains.  Merges and ``**`` share bodies, so a walk per
+    occurrence can take time exponential in the depth."""
+    # an explicit stack of (body, rest of its atoms); w keeps every id valid
+    order, seen = [], set()
+    frames = [(w, iter(w.atoms))]
+    while frames:
+        for a in frames[-1][1]:
+            b = a.base
+            if not isinstance(b, str) and id(b) not in seen:
+                seen.add(id(b))
+                frames.append((b, iter(b.atoms)))
+                break
+        else:
+            order.append(frames.pop()[0])
+    return order
+
+
 def gen(name: str, sign: int = 1) -> Word:
     """The one-atom word for a generator (or its inverse, with sign=-1)."""
     return Word((Atom(name, sign),))
@@ -237,101 +261,72 @@ def gen(name: str, sign: int = 1) -> Word:
 
 # --- parsing ---------------------------------------------------------------
 
-_OPEN, _CLOSE, _OPEN_B, _CLOSE_B, _GEN, _ONE = range(6)
+# One token after optional whitespace, named by the group that matched last
+# (``lastindex``): 1 "<", 2 "B(", 3 "1", 4 ">" or ")", 7 a generator; 5 and 8
+# add "^-1" to 4 and 7, and 6 and 9 a bare "^" (an error).  Group 10, any
+# other character, is an error too, so the matches of a text leave no gaps.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(<)|(B\()|(1)(?!\w)|([>)])(?:(\^-1)|(\^))?"
+    rf"|({_IDENT_RE.pattern})(?:(\^-1)|(\^))?|(\S))")
 
 
-def _read_sign(text: str, i: int) -> tuple[int, int]:
-    # optional "^-1" immediately after an ident or a closing bracket
-    if i < len(text) and text[i] == "^":
-        if text[i : i + 3] != "^-1":
-            raise WordSyntaxError("expected '^-1'", i)
-        return -1, i + 3
-    return 1, i
-
-
-def _tokenize(text: str) -> list[tuple[int, object, int]]:
-    toks: list[tuple[int, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "<":
-            toks.append((_OPEN, None, i))
-            i += 1
-            continue
-        if c == ">":
-            sign, j = _read_sign(text, i + 1)
-            toks.append((_CLOSE, sign, i))
-            i = j
-            continue
-        if c == ")":
-            sign, j = _read_sign(text, i + 1)
-            toks.append((_CLOSE_B, sign, i))
-            i = j
-            continue
-        if c == "1":
-            if i + 1 < n and (text[i + 1].isalnum() or text[i + 1] == "_"):
-                raise WordSyntaxError(f"invalid token {text[i:i + 2]!r}...", i)
-            toks.append((_ONE, None, i))
-            i += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            name, j = m.group(), m.end()
-            if name == "B" and j < n and text[j] == "(":
-                toks.append((_OPEN_B, None, i))
-                i = j + 1
-                continue
-            sign, j = _read_sign(text, j)
-            toks.append((_GEN, (name, sign), i))
-            i = j
-            continue
-        raise WordSyntaxError(f"invalid token {c!r}", i)
-    return toks
+def _token_error(text: str, m: re.Match) -> WordSyntaxError:
+    # the error of a match in group 6, 9 or 10 of _TOKEN_RE
+    k = m.lastindex
+    pos = m.start(k)
+    if k != 10:
+        return WordSyntaxError("expected '^-1'", pos)
+    if text[pos] == "1":
+        return WordSyntaxError(f"invalid token {text[pos:pos + 2]!r}...", pos)
+    return WordSyntaxError(f"invalid token {text[pos]!r}", pos)
 
 
 def parse_word(text: str) -> Word:
     """Parse text into a reduced Word.
 
-    Unreduced input such as ``"x x^-1"`` is accepted and silently reduced.
-    Raises :class:`WordSyntaxError` with a byte offset on malformed input.
+    The tokens, with optional whitespace between them, are ``<``, ``B(``,
+    ``>`` or ``)`` with an optional ``^-1``, ``1`` not followed by a letter,
+    digit or ``_``, and a generator with an optional ``^-1``.  Unreduced
+    input such as ``"x x^-1"`` is accepted and silently reduced.  Malformed
+    input raises :class:`WordSyntaxError` with the offset of its leftmost
+    error: the text is read once, left to right, up to the first bad token.
     """
     # One grammar level is "1" or a nonempty run of terms.  An open bracket
     # saves the enclosing level on an explicit stack, so deep nesting cannot
     # overflow; its closer builds the body and resumes the enclosing level.
+    make = Atom._make
     stack: list[tuple[list, bool, object, int]] = []
     atoms: list[Atom] = []
     saw_one = False
-    closer, open_pos = None, 0  # the token kind that ends this level, and its opener's offset
-    for kind, val, pos in _tokenize(text):
-        if kind == closer:
+    closer, open_pos = None, 0  # the closer that ends this level, and its opener's offset
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        if k == 7 or k == 8:
+            if saw_one:
+                raise WordSyntaxError("'1' must stand alone", m.start(7))
+            atoms.append(make(m[7], 1 if k == 7 else -1))
+        elif k == 4 or k == 5:
+            if m[4] != closer:
+                if closer is None:
+                    raise WordSyntaxError("unbalanced bracket: unexpected closer", m.start(4))
+                raise WordSyntaxError("mismatched bracket closer", m.start(4))
             if not atoms and not saw_one:
                 raise WordSyntaxError("empty word (write '1' for the identity)", open_pos)
             body = Word(atoms)
             atoms, saw_one, closer, open_pos = stack.pop()
-            atoms.append(Atom(body, val))
-            continue
-        if kind in (_CLOSE, _CLOSE_B):
-            if closer is None:
-                raise WordSyntaxError("unbalanced bracket: unexpected closer", pos)
-            raise WordSyntaxError("mismatched bracket closer", pos)
-        if kind == _ONE:
+            atoms.append(make(body, 1 if k == 4 else -1))
+        elif k <= 2:
+            if saw_one:
+                raise WordSyntaxError("'1' must stand alone", m.start(k))
+            stack.append((atoms, saw_one, closer, open_pos))
+            atoms, saw_one = [], False
+            closer, open_pos = (">" if k == 1 else ")"), m.start(k)
+        elif k == 3:
             if atoms or saw_one:
-                raise WordSyntaxError("'1' must stand alone", pos)
+                raise WordSyntaxError("'1' must stand alone", m.start(3))
             saw_one = True
-            continue
-        if saw_one:
-            raise WordSyntaxError("'1' must stand alone", pos)
-        if kind == _GEN:
-            name, sign = val
-            atoms.append(Atom(name, sign))
-            continue
-        # kind is _OPEN or _OPEN_B
-        stack.append((atoms, saw_one, closer, open_pos))
-        atoms, saw_one = [], False
-        closer, open_pos = (_CLOSE if kind == _OPEN else _CLOSE_B), pos
+        else:
+            raise _token_error(text, m)
     if closer is not None:
         raise WordSyntaxError("unbalanced bracket: missing closer", open_pos)
     if not atoms and not saw_one:

@@ -309,6 +309,15 @@ def test_parse_errors(text, offset):
     assert err.value.position == offset
 
 
+def test_parse_rejects_an_order_too_long_for_int():
+    # int() refuses more than 4,300 digits; the parser names the letter
+    w = parse_diff_word("y x." + "7" * 4300)
+    assert w.atoms[1].order == int("7" * 4300)
+    with pytest.raises(WordSyntaxError, match="too many digits") as err:
+        parse_diff_word("y x." + "7" * 4301)
+    assert err.value.position == 2
+
+
 def test_round_trip_random():
     rng = random.Random(29)
     for _ in range(300):

@@ -95,6 +95,37 @@ def test_eval_deep_nesting_does_not_recurse():
     assert rota_baxter.evaluate(bracket(w), {"x": r}, rb) == s3.inv(r)
 
 
+def test_walks_take_each_shared_body_once():
+    # w = <w y w>, 60 times over: 60 distinct bodies, but 2^60 occurrences of
+    # the innermost one, so a walk per occurrence would never finish
+    w = x
+    for _ in range(60):
+        w = bracket(w * y * w)
+    assert w.depth() == 60
+    assert rota_baxter.is_rb_word(w)
+    s3 = symmetric(3)
+    gx, gy = s3.index("(12)"), s3.index("(123)")
+
+    def recurrence(op):
+        v = gx
+        for _ in range(60):
+            v = op(s3.mul(s3.mul(v, gy), v))
+        return v
+
+    op = table_op((2, 0, 5, 1, 3, 4))
+    assert evaluate(w, {"x": gx, "y": gy}, OperatedTarget(s3, op)) == recurrence(op)
+    rb = table_op(inversion_operator(s3))
+    assert rota_baxter.evaluate(w, {"x": gx, "y": gy},
+                                rota_baxter.RBTarget(s3, rb)) == recurrence(rb)
+    # <A> <B>, where A and B hold the one body of <x>: it is valued first
+    inner = bracket(x)
+    u = bracket(inner * y) * bracket(y * inner)
+    assert u.depth() == 2
+    for t in _random_targets():
+        assignment = {"x": 1, "y": 0}
+        assert evaluate(u, assignment, t) == evaluate_rightfold(u, assignment, t)
+
+
 def _random_targets():
     # a few finite targets with arbitrary operators (no law is required)
     rng = random.Random(23)

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import random_diff_word, random_word
-from opgroups.differential import DiffWord
+from opgroups.differential import DiffWord, format_diff_word, parse_diff_word
 from opgroups.words import Atom, Word, WordSyntaxError, format_word, gen, parse_word
 
 x, y, z = gen("x"), gen("y"), gen("z")
@@ -197,6 +198,12 @@ def test_format_examples():
     ("12", 0),
     ("<x)^-1", 2),
     ("B(x>", 3),
+    ("x ^-1", 2),
+    ("x^-1^-1", 4),
+    ("<x>^-1^-1", 6),
+    ("1^-1", 1),
+    ("B (x)", 2),
+    (">?", 0),  # the leftmost of two errors
 ])
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(WordSyntaxError) as err:
@@ -235,6 +242,29 @@ def test_mul_reduced_and_consistent(u, v):
     for a, b in zip(prod.atoms, prod.atoms[1:]):
         assert not a.cancels(b)
     assert prod == Word(u.atoms + v.atoms)
+
+
+def test_parse_error_messages():
+    for text, message in [("x^2", "expected '^-1'"), ("x ^-1", "invalid token '^'"),
+                          ("1x", "invalid token '1x'..."), ("<x ?", "invalid token '?'"),
+                          ("<x", "missing closer"), ("x)", "unexpected closer"),
+                          ("<x)", "mismatched bracket closer"), ("<1 x>", "'1' must stand alone")]:
+        with pytest.raises(WordSyntaxError, match=re.escape(message)):
+            parse_word(text)
+    assert parse_word("B(x)^-1") == parse_word("<x>^-1") == bracket(x, -1)
+    assert parse_word("\tx^-1\n<B(y)>  ") == gen("x", -1) * bracket(bracket(y))
+
+
+@pytest.mark.parametrize("parse,fmt", [(parse_word, format_word),
+                                       (parse_diff_word, format_diff_word)])
+@given(text=st.text(st.sampled_from(list("<>B()^-1xy_.2 \t?"))) | st.text())
+def test_parse_round_trips_or_names_an_offset(parse, fmt, text):
+    try:
+        w = parse(text)
+    except WordSyntaxError as e:
+        assert 0 <= e.position <= len(text)
+    else:
+        assert parse(fmt(w)) == w
 
 
 @given(word_strategy)
