@@ -13,7 +13,7 @@ which :func:`derive` computes; the recursive rule is the tests' oracle.
 :class:`DiffLetter` letters.  Also here: the closed formulas for a product of
 words and for an inverse power, the order shift, and the evaluator into a
 group with a validated weight-1 differential operator, which runs the loop
-:func:`opgroups.operated.multiply_images` on the image of each ``x.n``.
+:func:`opgroups.operated.multiply_images` over the images of the ``x.n``.
 
 Text syntax: ``x.n`` is the n-th derived letter, ``x`` abbreviates ``x.0``,
 inverses are written ``x.n^-1``; letters are whitespace separated and ``1``
@@ -96,9 +96,28 @@ class DiffLetter:
 
 class DiffWord(ReducedWord):
     """A reduced word in derived letters, kept in ``atoms``; ``DiffWord()``
-    is the identity."""
+    is the identity.  Its evaluation plan (:meth:`_make_plan`) is cached on
+    first use; it depends only on the letters, which never change."""
 
     __slots__ = ()
+
+    def _make_plan(self) -> tuple:
+        """``(chains, steps)``: how to evaluate the word.  ``chains`` lists
+        ``(symbol, top)`` for each symbol, in the order of its first letter,
+        with ``top`` its highest order; its slots are its orders ``0..top``,
+        symbol after symbol.  ``steps`` is one ``(slot, sign)`` per letter."""
+        tops: dict[str, int] = {}
+        for a in self.atoms:
+            if a.order > tops.get(a.symbol, -1):
+                tops[a.symbol] = a.order
+        first, offset = {}, 0  # the slot of each symbol's order 0
+        for symbol, top in tops.items():
+            first[symbol] = offset
+            offset += top + 1
+        shared: dict = {}  # one tuple per distinct step
+        steps = tuple(shared.setdefault(s, s) for s in
+                      ((first[a.symbol] + a.order, a.sign) for a in self.atoms))
+        return tuple(tops.items()), steps
 
     def __repr__(self) -> str:
         return format_diff_word(self)
@@ -179,22 +198,22 @@ class DiffTarget(LawTarget):
 
 def evaluate(w: DiffWord, assignment: Mapping[str, object], target: DiffTarget):
     """Image of ``w`` under the homomorphism sending x.n to the n-th
-    derivative of the element assigned to x.  Each symbol's chain
-    ``g, d(g), d(d(g)), ...`` is extended iteratively, once per order."""
+    derivative of the element assigned to x.  The slots of the word's cached
+    plan are each symbol's chain ``g, d(g), d(d(g)), ...``, extended
+    iteratively up to the highest order the word uses; the plan depends only
+    on the word, so every call computes its chains afresh."""
+    chains, steps = w._plan()
     d = target.op
-    chains: dict[str, list] = {}
-
-    def image(a: DiffLetter):
-        chain = chains.get(a.symbol)
-        if chain is None:
-            if a.symbol not in assignment:
-                raise UnassignedGeneratorError(a.symbol)
-            chain = chains[a.symbol] = [assignment[a.symbol]]
-        while len(chain) <= a.order:
-            chain.append(d(chain[-1]))
-        return chain[a.order]
-
-    return multiply_images(w, target.group, image)
+    values = []  # the image of each slot of the plan
+    for symbol, top in chains:
+        if symbol not in assignment:
+            raise UnassignedGeneratorError(symbol)
+        v = assignment[symbol]
+        values.append(v)
+        for _ in range(top):
+            v = d(v)
+            values.append(v)
+    return multiply_images(steps, target.group, values)
 
 
 # --- text form ---------------------------------------------------------------

@@ -96,10 +96,17 @@ class Law(str, Enum):
 
 
 def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None:
-    """Check the left-action axioms act(e, x) = x and act(ab, x) = act(a, act(b, x))."""
+    """Check that ``action`` is an n x n matrix of element indices that
+    satisfies the left-action axioms act(e, x) = x and
+    act(ab, x) = act(a, act(b, x))."""
     n = len(group)
     if len(action) != n or any(len(row) != n for row in action):
         raise ValueError(f"action must be an {n}x{n} matrix")
+    for g, row in enumerate(action):
+        for x, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise ValueError(f"action entry {v!r} at ({group.name(g)}, {group.name(x)}) "
+                                 "is not an element index")
     e = group.identity_index
     for x in range(n):
         if action[e][x] != x:
@@ -112,6 +119,26 @@ def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None
                     raise ValueError(
                         f"action is not compatible with multiplication at "
                         f"({group.name(a)}, {group.name(b)}, {group.name(x)})")
+
+
+# The last (Cayley table, action) pair that passed validate_action, by value:
+# the lab checks every operator of a search against one action.  A key by
+# value cannot go stale when a caller mutates its action in place, and one
+# entry keeps the memory O(1) however many groups a process builds.
+_valid_action: Optional[tuple] = None
+
+
+def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tuple:
+    """A snapshot of ``action`` as a tuple of tuples, validated by
+    :func:`validate_action` unless it equals the last one validated on the
+    same table."""
+    global _valid_action
+    snapshot = tuple(map(tuple, action))
+    key = (group._table, snapshot)
+    if key != _valid_action:
+        validate_action(group, snapshot)
+        _valid_action = key
+    return snapshot
 
 
 def adjoint_action(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -207,7 +234,12 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
     """Test the law over all ordered pairs.
 
     Returns None when the law holds everywhere, else the first violating
-    pair of element names in element order.
+    pair of element names in element order.  The action of the crossed law
+    is validated on a snapshot of its entries, and the last snapshot that
+    passed is remembered by value, with the group's table: checking many
+    operators against one action validates it once, while an action that
+    differs in any entry, or is the same list mutated since, is validated
+    again.
     """
     law = Law(law)
     n = len(group)
@@ -216,7 +248,7 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
     if law is Law.CROSSED:
         if action is None:
             raise ValueError("the crossed-homomorphism law needs an action")
-        validate_action(group, action)
+        action = _checked_action(group, action)
     bad = first_violation(group, op, law, action)
     return None if bad is None else (group.name(bad[0]), group.name(bad[1]))
 
@@ -273,7 +305,7 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     if law is Law.CROSSED:
         if action is None:
             raise ValueError("the crossed-homomorphism law needs an action")
-        validate_action(group, action)
+        action = _checked_action(group, action)
     rule = _pair_rule(group._table, group._inv, law, action)
 
     images: list[Optional[int]] = [None] * n

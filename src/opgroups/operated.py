@@ -8,15 +8,16 @@ assignment: generators go to their assigned elements, concatenation to the
 carrier product, and a bracket to ``op`` applied to the evaluated body.
 
 The free differential and Rota-Baxter groups are operated groups with a law,
-so every evaluator runs :func:`multiply_images`, the one loop over a word's
-letters; each theory supplies only the image of one letter.
+so every evaluator runs :func:`multiply_images`, the one loop over the steps
+of a word's evaluation plan; each theory supplies only the images of the
+plan's slots.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .words import Atom, Word, _children_first
+from .words import Atom, Word
 
 __all__ = [
     "OperatedTarget",
@@ -53,35 +54,35 @@ class OperatedTarget:
         self.op = op
 
 
-def multiply_images(w, group, image: Callable):
-    """The product in ``group`` of ``image(a)`` over the letters ``a`` of
-    ``w``, inverted where ``a`` is negative: ``image`` maps a letter to the
-    image of its positive form."""
+def multiply_images(steps, group, values):
+    """The product in ``group`` over the ``(slot, sign)`` steps of a plan of
+    ``values[slot]``, inverted where ``sign`` is negative.  The images of the
+    slots are computed before the loop, so it calls only ``group.mul`` and
+    ``group.inv`` per step."""
+    mul, inv = group.mul, group.inv
     acc = group.identity()
-    for a in w.atoms:
-        val = image(a)
-        if a.sign < 0:
-            val = group.inv(val)
-        acc = group.mul(acc, val)
+    for slot, sign in steps:
+        acc = mul(acc, values[slot] if sign > 0 else inv(values[slot]))
     return acc
 
 
 def evaluate(w: Word, assignment: Mapping[str, object], target: OperatedTarget):
     """Image of ``w`` under the homomorphism sending each generator to its
-    assigned carrier element and each bracket to ``target.op`` of its body."""
+    assigned carrier element and each bracket to ``target.op`` of its body.
+
+    Runs the word's cached plan (``Word._make_plan``): the plan depends only
+    on the word and the images only on this call's assignment and target, so
+    every call computes its images afresh.  Each distinct body is valued and
+    sent through ``op`` once, before every word that encloses it.
+    """
+    names, bodies, steps = w._plan()
+    values = []  # the image of each slot of the plan
+    for s in names:
+        try:
+            values.append(assignment[s])
+        except KeyError:
+            raise UnassignedGeneratorError(s) from None
     g, op = target.group, target.op
-    values: dict[int, object] = {}  # id of a word -> its image
-
-    def image(atom: Atom):
-        base = atom.base
-        if isinstance(base, str):
-            try:
-                return assignment[base]
-            except KeyError:
-                raise UnassignedGeneratorError(base) from None
-        return op(values[id(base)])
-
-    # each distinct body once, before every word that encloses it
-    for u in _children_first(w):
-        values[id(u)] = multiply_images(u, g, image)
-    return values[id(w)]
+    for body in bodies:
+        values.append(op(multiply_images(body, g, values)))
+    return multiply_images(steps, g, values)

@@ -77,7 +77,7 @@ DEFAULT_GUARD_STEPS = 1_000_000
 # The product's stack machine leaves its stack reduced (see _Product.push),
 # so it skips free reduction.
 _word = Word._reduced
-_UNSEEN = object()  # a merge not yet in the memo; None is a merged empty body
+_UNSEEN = object()  # not yet in a memo or cache; None is a value there
 
 
 class DiamondLimitError(RuntimeError):
@@ -89,7 +89,21 @@ class DiamondLimitError(RuntimeError):
 
 
 def find_rb_violation(w: Word) -> Optional[str]:
-    """Why ``w`` is not a Rota-Baxter word, or None if it is one."""
+    """Why ``w`` is not a Rota-Baxter word, or None if it is one.
+
+    The answer is cached on ``w``: it depends only on the atoms, which never
+    change, so checking one word again (as :func:`evaluate` does for every
+    target) costs nothing.
+    """
+    # getattr with a default is cheaper than catching AttributeError on a
+    # miss, which every new word is
+    reason = getattr(w, "_rb_violation", _UNSEEN)
+    if reason is _UNSEEN:
+        reason = w._rb_violation = _find_rb_violation(w)
+    return reason
+
+
+def _find_rb_violation(w: Word) -> Optional[str]:
     # depth first over the bracket bodies, with an explicit stack so deep
     # nesting cannot overflow the interpreter stack; the path of a body is
     # the pair (its position, the path of the word that encloses it).  A body

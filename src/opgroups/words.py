@@ -163,7 +163,7 @@ class ReducedWord:
     theories are never equal and cannot be multiplied.
     """
 
-    __slots__ = ("atoms", "_hash")
+    __slots__ = ("atoms", "_hash", "_cached_plan")
 
     def __init__(self, atoms: Iterable = ()):
         self.atoms = free_reduce(atoms)
@@ -176,6 +176,15 @@ class ReducedWord:
         w.atoms = atoms
         w._hash = hash(atoms)
         return w
+
+    def _plan(self) -> tuple:
+        # the evaluation plan of the subclass's _make_plan, built on first use;
+        # a word never changes, so neither does its plan
+        try:
+            return self._cached_plan
+        except AttributeError:
+            plan = self._cached_plan = self._make_plan()
+            return plan
 
     @property
     def is_identity(self) -> bool:
@@ -215,17 +224,52 @@ class ReducedWord:
 
 
 class Word(ReducedWord):
-    """A reduced sequence of atoms.  ``Word()`` is the group identity."""
+    """A reduced sequence of atoms.  ``Word()`` is the group identity.
 
-    __slots__ = ()
+    A word caches two things it computes on first use: its evaluation plan
+    (see :meth:`_make_plan`) and, for :mod:`opgroups.rota_baxter`, why it is
+    not a Rota-Baxter word (None if it is one).  Both depend only on the
+    atoms, which never change, so a cached value is the value a fresh
+    computation would give.
+    """
+
+    __slots__ = ("_rb_violation",)
+
+    def _make_plan(self) -> tuple:
+        """``(names, bodies, steps)``: how to evaluate the word.
+
+        ``names`` are its generator names in the order an evaluation meets
+        them; ``bodies`` are its distinct bracket bodies, each after every
+        body it contains, and ``steps`` the word's own atoms.  A body or the
+        word is a tuple of ``(slot, sign)`` steps, one per atom: slot ``i``
+        is ``names[i]`` for ``i < len(names)`` and else the bracket of
+        ``bodies[i - len(names)]``.  The plan holds only names and ints, so
+        it refers to no word object.
+        """
+        order = _children_first(self)
+        slots: dict = {}  # a generator name or the id of a body -> its slot
+        for u in order:
+            for a in u.atoms:
+                if isinstance(a.base, str) and a.base not in slots:
+                    slots[a.base] = len(slots)
+        names = tuple(slots)
+        for u in order[:-1]:
+            slots[id(u)] = len(slots)
+        shared: dict = {}  # one tuple per distinct step
+        plans = [tuple(shared.setdefault(s, s) for s in
+                       ((slots[a.base if isinstance(a.base, str) else id(a.base)], a.sign)
+                        for a in u.atoms))
+                 for u in order]
+        return names, tuple(plans[:-1]), plans[-1]
 
     def depth(self) -> int:
         """Maximal bracket nesting; 0 for bracket-free words and the identity."""
-        depths: dict[int, int] = {}  # id of a body -> its depth
-        for u in _children_first(self):
-            depths[id(u)] = max((depths[id(a.base)] + 1 for a in u.atoms
-                                 if not isinstance(a.base, str)), default=0)
-        return depths[id(self)]
+        names, bodies, steps = self._plan()
+        k = len(names)
+        depths: list[int] = []  # of each body, in plan order
+        for body in (*bodies, steps):
+            depths.append(max((depths[i - k] + 1 for i, _ in body if i >= k), default=0))
+        return depths[-1]
 
     def breadth(self) -> int:
         """Number of atoms in the standard (reduced) factorization."""

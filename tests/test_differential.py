@@ -245,6 +245,27 @@ def test_eval_identity_and_missing_generator():
         evaluate(y0, {"x": 0}, t)
 
 
+def test_eval_caches_no_image():
+    # the plan cached on a word holds no image: one word object evaluated into
+    # two targets, each under two assignments, gives what a freshly parsed
+    # copy gives, and an unassigned symbol is named on every call
+    rng = random.Random(29)
+    targets = diff_targets()
+    for _ in range(60):
+        w = random_diff_word(rng)
+        for g, t in rng.sample(targets, 2):
+            for _ in range(2):
+                assignment = {s: rng.randrange(len(g)) for s in "xyz"}
+                fresh = parse_diff_word(format_diff_word(w))
+                assert evaluate(w, assignment, t) == evaluate(fresh, assignment, t)
+    g, t = targets[-1]
+    w = parse_diff_word("x.1 y.2")
+    evaluate(w, {"x": 1, "y": 2}, t)
+    for _ in range(2):
+        with pytest.raises(UnassignedGeneratorError, match="'y'"):
+            evaluate(w, {"x": 1}, t)
+
+
 def test_eval_homomorphism_and_intertwining():
     rng = random.Random(19)
     for g, t in diff_targets():

@@ -309,6 +309,43 @@ def test_action_validation_rejects_bad_matrix():
         validate_action(g, ((1, 0), (0, 1)))
 
 
+@pytest.mark.parametrize("entry", [7, "a", -1])
+def test_action_entries_must_be_element_indices(entry):
+    g = cyclic(3)
+    with pytest.raises(ValueError, match=rf"action entry {entry!r} at \(a, a2\) is not an "
+                       r"element index"):
+        validate_action(g, [[0, 1, 2], [1, 2, entry], [2, 0, 1]])
+
+
+def test_check_identity_validates_a_mutated_action_again():
+    # the remembered action is a snapshot by value, not the caller's list
+    g = symmetric(3)
+    act = [list(row) for row in adjoint_action(g)]
+    op = enumerate_operators(g, Law.CROSSED, act)[1]
+    assert check_identity(g, op, Law.CROSSED, act) is None
+    act[1][1], act[1][2] = act[1][2], act[1][1]
+    with pytest.raises(ValueError, match="action is not compatible"):
+        check_identity(g, op, Law.CROSSED, act)
+
+
+def test_an_invalid_action_raises_after_a_valid_one():
+    g = symmetric(3)
+    act = adjoint_action(g)
+    op = enumerate_operators(g, Law.CROSSED, act)[1]
+    swapped = (act[0], act[2], act[1]) + act[3:]
+    out_of_range = act[:-1] + ((0, 1, 2, 3, 4, 9),)
+    # the same matrix on another table: C6 is abelian, S3 is not
+    for group, bad, message in [(g, swapped, "not compatible"),
+                                (g, out_of_range, "not an element index"),
+                                (cyclic(6), act, "not compatible")]:
+        assert check_identity(g, op, Law.CROSSED, act) is None
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                check_identity(group, op, Law.CROSSED, bad)
+            with pytest.raises(ValueError, match=message):
+                enumerate_operators(group, Law.CROSSED, bad)
+
+
 # --- enumeration ---------------------------------------------------------------
 
 def brute_force_operators(g, law, action=None):

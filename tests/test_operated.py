@@ -14,7 +14,7 @@ from opgroups.finite import (
     symmetric,
 )
 from opgroups.operated import OperatedTarget, UnassignedGeneratorError, bracket, evaluate
-from opgroups.words import Atom, Word, gen
+from opgroups.words import Atom, Word, format_word, gen, parse_word
 
 x, y = gen("x"), gen("y")
 
@@ -75,6 +75,19 @@ def test_eval_unassigned_generator_names_symbol():
     t = OperatedTarget(g, table_op(identity_operator(g)))
     with pytest.raises(UnassignedGeneratorError, match="'y'"):
         evaluate(x * y, {"x": 1}, t)
+
+
+def test_an_unassigned_generator_is_named_on_every_call():
+    # the plan cached on a word lists its generators; whether each has an
+    # image is asked again on every call, also after a call that succeeded
+    g = cyclic(3)
+    t = OperatedTarget(g, table_op((1, 2, 0)))
+    w = x * bracket(y)
+    assert evaluate(w, {"x": 1, "y": 1}, t) == 0
+    for _ in range(2):
+        with pytest.raises(UnassignedGeneratorError, match="'y'"):
+            evaluate(w, {"x": 1}, t)
+    assert evaluate(w, {"x": 2, "y": 0}, t) == 0
 
 
 def test_eval_deep_nesting_does_not_recurse():
@@ -171,6 +184,21 @@ def test_eval_recursion_order_irrelevant():
         assignment = {s: rng.randrange(len(t.group)) for s in "xyz"}
         w = random_word(rng, max_depth=3, max_breadth=5)
         assert evaluate(w, assignment, t) == evaluate_rightfold(w, assignment, t)
+
+
+def test_a_word_evaluates_as_a_fresh_copy_of_itself():
+    # the plan cached on a word holds no image: one word object evaluated
+    # into two targets, each under two assignments, gives what a freshly
+    # parsed copy (with no plan yet) gives
+    rng = random.Random(43)
+    targets = _random_targets()
+    for _ in range(60):
+        w = random_word(rng, max_depth=3, max_breadth=5)
+        for t in rng.sample(targets, 2):
+            for _ in range(2):
+                assignment = {s: rng.randrange(len(t.group)) for s in "xyz"}
+                fresh = parse_word(format_word(w))
+                assert evaluate(w, assignment, t) == evaluate(fresh, assignment, t)
 
 
 def test_eval_against_every_endomorphism_of_s3():

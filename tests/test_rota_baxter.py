@@ -317,6 +317,22 @@ def test_eval_examples():
         evaluate(y, {"x": i12}, t)
 
 
+def test_a_non_rb_word_is_refused_on_every_call():
+    # the verdict cached on a word is the verdict itself, not a note that the
+    # word was checked
+    g = symmetric(3)
+    t = RBTarget(g, lambda i: g.inv(i))
+    w = parse_word("<x> <y>")
+    for _ in range(2):
+        assert not is_rb_word(w)
+        with pytest.raises(ValueError, match="not a Rota-Baxter word"):
+            evaluate(w, {"x": 1, "y": 2}, t)
+        with pytest.raises(ValueError, match="left factor is not a Rota-Baxter word"):
+            diamond(w, x)
+        with pytest.raises(ValueError, match="right factor is not a Rota-Baxter word"):
+            diamond(x, w)
+
+
 def test_eval_homomorphism_and_intertwining():
     rng = random.Random(23)
     for g, t in rb_targets():
