@@ -7,7 +7,8 @@ Unrolled over the letters of a word it gives the product formula
 
     D(z_1 ... z_n) = (D(z_1) z_1) ... (D(z_n) z_n) (z_1 ... z_n)^-1,
 
-which :func:`derive` computes; the recursive rule is the tests' oracle.
+which :func:`derive` computes, reduced at one seam; the recursive rule is
+the tests' oracle.
 
 :class:`DiffWord` is the word core :class:`~opgroups.words.ReducedWord` over
 :class:`DiffLetter` letters.  Also here: the closed formulas for a product of
@@ -28,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .finite import Law, LawTarget
 from .operated import UnassignedGeneratorError, multiply_images
-from .words import _IDENT_RE, ReducedWord, WordSyntaxError
+from .words import _IDENT_RE, ReducedWord, WordSyntaxError, _join
 
 __all__ = [
     "DiffLetter",
@@ -132,16 +133,20 @@ def derive(w: DiffWord) -> DiffWord:
     """The derivation: x.n -> x.n+1 on letters, extended by the weight-1 rule.
 
     Computed by the product formula over the letters z_i of ``w``,
-    D(z_1 ... z_n) = (D(z_1) z_1) ... (D(z_n) z_n) (z_1 ... z_n)^-1, in one
-    free reduction, so the cost is linear in the output.  The recursive rule
-    is the oracle in the tests.
+    D(z_1 ... z_n) = (D(z_1) z_1) ... (D(z_n) z_n) (z_1 ... z_n)^-1,
+    reduced at one seam, so the cost is linear in the output.  The recursive
+    rule is the oracle in the tests.
     """
     pieces: list[DiffLetter] = []
     for a in w.atoms:
         # D(z) z is x.n+1 x.n for z = x.n, and x.n^-1 x.n+1^-1 for z = x.n^-1
         up = DiffLetter._make(a.symbol, a.order + 1, a.sign)
         pieces += (up, a) if a.sign > 0 else (a, up)
-    return DiffWord(chain(pieces, w.inverse().atoms))
+    # The pieces are reduced because w is: the two letters of a piece differ
+    # in order, and where two pieces meet, the facing letters have one sign,
+    # or are z_i and z_i+1, or are their derived letters, which cancel only
+    # if z_i and z_i+1 do.  So only the seam with w^-1 can cancel.
+    return DiffWord._reduced(_join(tuple(pieces), w.inverse().atoms))
 
 
 def derive_power(w: DiffWord, n: int) -> DiffWord:
@@ -206,9 +211,10 @@ def evaluate(w: DiffWord, assignment: Mapping[str, object], target: DiffTarget):
     d = target.op
     values = []  # the image of each slot of the plan
     for symbol, top in chains:
-        if symbol not in assignment:
-            raise UnassignedGeneratorError(symbol)
-        v = assignment[symbol]
+        try:
+            v = assignment[symbol]
+        except KeyError:
+            raise UnassignedGeneratorError(symbol) from None
         values.append(v)
         for _ in range(top):
             v = d(v)

@@ -28,7 +28,6 @@ reports the leftmost error of a malformed text::
 from __future__ import annotations
 
 import re
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -67,6 +66,19 @@ def free_reduce(letters: Iterable) -> tuple:
         else:
             out.append(a)
     return tuple(out)
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """The reduced product of two reduced tuples of letters.
+
+    Neither side can cancel within itself, so cancellation happens only at
+    the seam: pop the pairs that cancel there and concatenate the rest.
+    """
+    i, j, n = len(a), 0, len(b)
+    while i and j < n and a[i - 1].cancels(b[j]):
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
 
 
 class Atom:
@@ -159,6 +171,11 @@ class ReducedWord:
 
         u * v   ==  type(u)(u.atoms + v.atoms)
 
+    Two reduced words cancel only at their seam, so the product pops the
+    cancelling pairs there and reduces nothing else.  A reduced word is
+    ``p c p^-1`` with ``c`` cyclically reduced, so its power is
+    ``p c^n p^-1``, which needs no reduction at all.
+
     Equality and the product are strict about the subclass: words of two
     theories are never equal and cannot be multiplied.
     """
@@ -199,7 +216,7 @@ class ReducedWord:
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(self.atoms + other.atoms)
+        return self._reduced(_join(self.atoms, other.atoms))
 
     def inverse(self):
         # the inverse of a reduced word is reduced
@@ -209,10 +226,16 @@ class ReducedWord:
         return self.inverse()
 
     def __pow__(self, n: int):
-        base = self if n >= 0 else self.inverse()
-        # one free reduction over |n| streamed copies, so no unreduced tuple
-        # of |n| * len(base) atoms is ever built
-        return type(self)(chain.from_iterable(repeat(base.atoms, abs(n))))
+        if n == 0:
+            return type(self)()
+        atoms = (self if n > 0 else self.inverse()).atoms
+        # split off the longest p with atoms == p c p^-1; c is not empty (two
+        # adjacent letters of a reduced word never cancel) and its ends do not
+        # cancel, so p c^|n| p^-1 is reduced
+        L, k = len(atoms), 0
+        while 2 * k + 1 < L and atoms[k].cancels(atoms[L - 1 - k]):
+            k += 1
+        return self._reduced(atoms[:k] + atoms[k:L - k] * abs(n) + atoms[L - k:])
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

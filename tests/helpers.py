@@ -1,10 +1,11 @@
 """Seeded random generators for words of the three theories, shared by the
-unit tests and the acceptance suite, and test oracles for the products and
-the operator search."""
+unit tests and the acceptance suite, and test oracles for the products, the
+powers and the operator search."""
 
 from __future__ import annotations
 
 import random
+from itertools import chain, repeat
 from typing import Optional
 
 from opgroups.differential import DiffLetter, DiffWord
@@ -98,6 +99,24 @@ def derive_recursive(w: DiffWord) -> DiffWord:
         head = DiffWord((a,))
         out = _derive_letter(a) * head * out * head.inverse()
     return out
+
+
+def derive_streamed(w: DiffWord) -> DiffWord:
+    """Oracle for ``differential.derive``: the product formula
+    (D(z_1) z_1) ... (D(z_n) z_n) (z_1 ... z_n)^-1 over the letters of ``w``,
+    with the whole word free-reduced, not only the seam."""
+    pieces: list[DiffLetter] = []
+    for a in w.atoms:
+        up = DiffLetter(a.symbol, a.order + 1, a.sign)
+        pieces += (up, a) if a.sign > 0 else (a, up)
+    return DiffWord(chain(pieces, w.inverse().atoms))
+
+
+def power_streamed(w, n: int):
+    """Oracle for ``ReducedWord.__pow__``: one free reduction over |n|
+    streamed copies of ``w``, or of its inverse for n < 0."""
+    base = w if n >= 0 else w.inverse()
+    return type(w)(chain.from_iterable(repeat(base.atoms, abs(n))))
 
 
 # --- independent oracle: fixpoint rewriting ----------------------------------

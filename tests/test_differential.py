@@ -1,9 +1,10 @@
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import derive_recursive, random_diff_word
+from helpers import derive_recursive, derive_streamed, random_diff_word
 from opgroups.differential import (
     DiffLetter,
     DiffTarget,
@@ -85,6 +86,23 @@ def test_derive_matches_recursive_oracle():
     for _ in range(500):
         w = random_diff_word(rng, max_len=8, max_order=3)
         assert derive(w) == derive_recursive(w)
+
+
+def test_derive_matches_the_fully_reduced_product_formula():
+    # derive reduces only the seam between the pieces and w^-1
+    rng = random.Random(53)
+    for _ in range(500):
+        w = random_diff_word(rng, max_len=8, max_order=3)
+        got = derive(w)
+        assert got == derive_streamed(w) == derive_recursive(w)
+        assert not any(a.cancels(b) for a, b in zip(got.atoms, got.atoms[1:]))
+
+
+def test_derive_cancels_a_long_seam():
+    # x.2 x.1 x.1 x.0 | x.0^-1 x.1^-1: two pairs cancel at the seam
+    assert derive(parse_diff_word("x.1 x.0")) == parse_diff_word("x.2 x.1")
+    w = parse_diff_word("y.0 x.1 x.0")
+    assert derive(w) == parse_diff_word("y.1 y.0 x.2 x.1 y.0^-1") == derive_recursive(w)
 
 
 def test_derive_power_matches_iterated_oracle():
@@ -243,6 +261,17 @@ def test_eval_identity_and_missing_generator():
     assert evaluate(DiffWord(), {}, t) == g.identity_index
     with pytest.raises(UnassignedGeneratorError, match="'y'"):
         evaluate(y0, {"x": 0}, t)
+
+
+def test_eval_reads_an_assignment_by_lookup():
+    # one rule in every theory: a generator's image is assignment[symbol],
+    # so a mapping with a default supplies the missing ones
+    g = cyclic(3)
+    t = DiffTarget(g, lambda i: g.identity_index)
+    w = parse_diff_word("x y")
+    assert evaluate(w, defaultdict(int, {"x": 1}), t) == 1
+    with pytest.raises(UnassignedGeneratorError, match="'y'"):
+        evaluate(w, {"x": 1}, t)
 
 
 def test_eval_caches_no_image():

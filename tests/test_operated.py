@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -73,6 +74,16 @@ def test_eval_constant_identity_on_s3():
 def test_eval_unassigned_generator_names_symbol():
     g = cyclic(2)
     t = OperatedTarget(g, table_op(identity_operator(g)))
+    with pytest.raises(UnassignedGeneratorError, match="'y'"):
+        evaluate(x * y, {"x": 1}, t)
+
+
+def test_eval_reads_an_assignment_by_lookup():
+    # one rule in every theory: a generator's image is assignment[symbol],
+    # so a mapping with a default supplies the missing ones
+    g = cyclic(3)
+    t = OperatedTarget(g, table_op(identity_operator(g)))
+    assert evaluate(x * y, defaultdict(int, {"x": 1}), t) == 1
     with pytest.raises(UnassignedGeneratorError, match="'y'"):
         evaluate(x * y, {"x": 1}, t)
 

@@ -1,4 +1,5 @@
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -315,6 +316,16 @@ def test_eval_examples():
     assert got == g.mul(op[i12], g.inv(i12))
     with pytest.raises(UnassignedGeneratorError):
         evaluate(y, {"x": i12}, t)
+
+
+def test_eval_reads_an_assignment_by_lookup():
+    # one rule in every theory: a generator's image is assignment[symbol],
+    # so a mapping with a default supplies the missing ones
+    g = cyclic(3)
+    t = RBTarget(g, lambda i: g.inv(i))  # inversion is a Rota-Baxter operator
+    assert evaluate(x * y, defaultdict(int, {"x": 1}), t) == 1
+    with pytest.raises(UnassignedGeneratorError, match="'y'"):
+        evaluate(x * y, {"x": 1}, t)
 
 
 def test_a_non_rb_word_is_refused_on_every_call():

@@ -4,8 +4,8 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_diff_word, random_word
-from opgroups.differential import DiffWord, format_diff_word, parse_diff_word
+from helpers import power_streamed, random_diff_word, random_word
+from opgroups.differential import DiffLetter, DiffWord, format_diff_word, parse_diff_word
 from opgroups.words import Atom, Word, WordSyntaxError, format_word, gen, parse_word
 
 x, y, z = gen("x"), gen("y"), gen("z")
@@ -301,6 +301,71 @@ def test_power_is_the_repeated_product(random_of):
             for _ in range(abs(n)):
                 prod = prod * (w if n > 0 else w.inverse())
             assert w ** n == prod
+
+
+def _is_reduced(w) -> bool:
+    return not any(a.cancels(b) for a, b in zip(w.atoms, w.atoms[1:]))
+
+
+_WORD_LETTERS = [Atom("x"), Atom("y", -1), Atom(Word((Atom("x"), Atom("y")))),
+                 Atom(Word((Atom(Word((Atom("z"),)), -1),)), -1)]
+_DIFF_LETTERS = [DiffLetter("x"), DiffLetter("x", 1, -1), DiffLetter("y", 2), DiffLetter("z")]
+
+
+@pytest.mark.parametrize("kind, random_of, letters", [(Word, random_word, _WORD_LETTERS),
+                                                      (DiffWord, random_diff_word, _DIFF_LETTERS)])
+def test_power_matches_the_streamed_oracle(kind, random_of, letters):
+    # random words, the identity, and explicit conjugates p c p^-1 with
+    # |p| <= 4 and c a random word or a single letter
+    rng = random.Random(43)
+    words = [kind(), *(random_of(rng) for _ in range(100))]
+    for _ in range(60):
+        p = kind(rng.choice(letters) for _ in range(rng.randint(0, 4)))
+        c = random_of(rng) if rng.random() < 0.5 else kind((rng.choice(letters),))
+        words.append(p * c * p.inverse())
+    for w in words:
+        for n in range(-6, 7):
+            got = w ** n
+            assert got == power_streamed(w, n)
+            assert _is_reduced(got)
+
+
+@pytest.mark.parametrize("letter_type, w", [
+    # p c p^-1 with |p| = 4, bracketed letters in p, and c = x <z>
+    (Atom, parse_word("<x y> z^-1 <<x>>^-1 y x <z> y^-1 <<x>> z <x y>^-1")),
+    (Atom, parse_word("x y z")),
+    (DiffLetter, parse_diff_word("x.1 y.0^-1 z.2 x.0 z.2^-1 y.0 x.1^-1")),
+    (DiffLetter, parse_diff_word("x.1 y.0 x.1")),
+])
+def test_a_power_makes_at_most_half_a_length_of_cancels_calls(monkeypatch, letter_type, w):
+    calls = []
+    cancels = letter_type.cancels
+
+    def counting(a, b):
+        calls.append((a, b))
+        return cancels(a, b)
+
+    monkeypatch.setattr(letter_type, "cancels", counting)
+    for n in (1000, -1000):
+        calls.clear()
+        got = w ** n
+        assert len(calls) <= len(w) // 2
+    monkeypatch.undo()
+    assert got == power_streamed(w, -1000)
+
+
+@pytest.mark.parametrize("random_of", [random_word, random_diff_word])
+def test_product_is_the_reduced_concatenation(random_of):
+    # the product cancels only at the seam; v = u^-1 t gives a seam as long
+    # as u, and a product that cancels to the identity
+    rng = random.Random(47)
+    for _ in range(300):
+        u, t = random_of(rng), random_of(rng)
+        for v in (random_of(rng), u.inverse() * t, u.inverse(), t * u.inverse()):
+            got = u * v
+            assert got == type(u)(u.atoms + v.atoms)
+            assert _is_reduced(got)
+            assert (u * v) * u == u * (v * u)
 
 
 def test_words_of_two_theories_never_mix():
