@@ -48,18 +48,25 @@ __all__ = [
 
 
 class DiffLetter:
-    """A signed derived letter: generator symbol, derivative order, sign."""
+    """A signed derived letter: generator symbol, derivative order, sign.
+
+    Like an :class:`~opgroups.words.Atom`, a letter stores its hash when it
+    is built, while a :class:`DiffWord` hashes its letters only on first
+    use.  A letter holds no word, so its hash cannot recurse.
+    """
 
     __slots__ = ("symbol", "order", "sign", "_hash")
 
     def __init__(self, symbol: str, order: int = 0, sign: int = 1):
+        if not isinstance(symbol, str):
+            raise TypeError(f"generator name must be a str, got {symbol!r}")
         if not _IDENT_RE.fullmatch(symbol):
             raise ValueError(f"invalid generator name {symbol!r}")
         if isinstance(order, bool) or not isinstance(order, int):
             raise TypeError(f"derivative order must be an int, got {order!r}")
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         self.symbol = symbol
         self.order = order

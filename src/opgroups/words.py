@@ -82,12 +82,16 @@ def _join(a: tuple, b: tuple) -> tuple:
 
 
 class Atom:
-    """One letter of a word: a generator name or a bracketed word, with a sign."""
+    """One letter of a word: a generator name or a bracketed word, with a sign.
+
+    An atom hashes ``(base, sign)`` when it is built, which hashes its body
+    one level deep; a lazy atom hash would recurse on a deep chain.
+    """
 
     __slots__ = ("base", "sign", "_hash")
 
     def __init__(self, base: Union[str, "Word"], sign: int = 1):
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise ValueError(f"atom sign must be +1 or -1, got {sign!r}")
         if isinstance(base, str):
             if not _IDENT_RE.fullmatch(base):
@@ -152,6 +156,7 @@ class Atom:
                 if u != v:
                     return False
             elif u is not v:
+                # a body is hashed with its atom, so both hashes are set
                 if u._hash != v._hash or len(u.atoms) != len(v.atoms):
                     return False
                 stack.extend(zip(u.atoms, v.atoms))
@@ -178,20 +183,26 @@ class ReducedWord:
 
     Equality and the product are strict about the subclass: words of two
     theories are never equal and cannot be multiplied.
+
+    A word hashes its atoms on the first ``hash()`` and keeps the result in
+    ``_hash``, None until then: most intermediate words of a product or a
+    derivation are never hashed.  Hashing a word cannot recurse: an
+    :class:`Atom` hashes its body when it is built, so the first ``hash()``
+    of a word only reads its atoms' stored hashes, however deep they nest.
     """
 
     __slots__ = ("atoms", "_hash", "_cached_plan")
 
     def __init__(self, atoms: Iterable = ()):
         self.atoms = free_reduce(atoms)
-        self._hash = hash(self.atoms)
+        self._hash = None
 
     @classmethod
     def _reduced(cls, atoms: tuple):
         # trusted constructor for a tuple of atoms already known to be reduced
         w = cls.__new__(cls)
         w.atoms = atoms
-        w._hash = hash(atoms)
+        w._hash = None
         return w
 
     def _plan(self) -> tuple:
@@ -240,20 +251,29 @@ class ReducedWord:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self is other or (self._hash == other._hash and self.atoms == other.atoms)
+        if self is other:
+            return True
+        h, k = self._hash, other._hash
+        # two cached hashes that differ decide at once; else compare atoms
+        return (h is None or k is None or h == k) and self.atoms == other.atoms
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.atoms)
+        return h
 
 
 class Word(ReducedWord):
     """A reduced sequence of atoms.  ``Word()`` is the group identity.
 
-    A word caches two things it computes on first use: its evaluation plan
-    (see :meth:`_make_plan`) and, for :mod:`opgroups.rota_baxter`, why it is
-    not a Rota-Baxter word (None if it is one).  Both depend only on the
-    atoms, which never change, so a cached value is the value a fresh
-    computation would give.
+    A word caches three things it computes on first use: its hash, its
+    evaluation plan (see :meth:`_make_plan`) and, for
+    :mod:`opgroups.rota_baxter`, why it is not a Rota-Baxter word (None if
+    it is one).  All three depend only on the atoms, which never change, so
+    a cached value is the value a fresh computation would give.  The hash
+    of a bracket body is set when its atom is built, so the first hash of a
+    word 2,000 brackets deep reads one level and does not recurse.
     """
 
     __slots__ = ("_rb_violation",)

@@ -122,6 +122,22 @@ def test_derive_power_length_triples():
         assert len(derive_power(x0 * y0, n)) == 4 * 3 ** (n - 1)
 
 
+def test_derive_power_hashes_no_letter(monkeypatch):
+    calls = []
+    letter_hash = DiffLetter.__hash__
+
+    def counting(a):
+        calls.append(a)
+        return letter_hash(a)
+
+    w = parse_diff_word("x y.1^-1 z.2 x^-1 y")
+    monkeypatch.setattr(DiffLetter, "__hash__", counting)
+    got = derive_power(w, 4)
+    assert calls == [] and got._hash is None
+    monkeypatch.undo()
+    assert got == derive(derive(derive(derive(w))))
+
+
 # --- closed formulas as oracles ------------------------------------------------
 
 def test_product_formula_single_factor_collapses():
@@ -343,6 +359,20 @@ def test_letter_order_must_be_an_int(order):
 def test_letter_name_must_be_an_identifier(symbol):
     with pytest.raises(ValueError, match="generator name"):
         DiffLetter(symbol)
+
+
+@pytest.mark.parametrize("make", [lambda: DiffLetter(3), lambda: DiffLetter(None),
+                                  lambda: diff_gen(b"x")], ids=["int", "None", "bytes"])
+def test_letter_name_must_be_a_str(make):
+    # refused before the name reaches the regex, with the value named
+    with pytest.raises(TypeError, match=r"generator name must be a str, got (3|None|b'x')"):
+        make()
+
+
+def test_letter_sign_must_not_be_a_bool():
+    # True == 1, so only a type check refuses it
+    with pytest.raises(ValueError, match="sign"):
+        DiffLetter("x", 0, True)
 
 
 @pytest.mark.parametrize("text,offset", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import power_streamed, random_diff_word, random_word
+from opgroups import operated
 from opgroups.differential import DiffLetter, DiffWord, format_diff_word, parse_diff_word
 from opgroups.words import Atom, Word, WordSyntaxError, format_word, gen, parse_word
 
@@ -288,6 +289,12 @@ def test_atom_validation():
         Atom(42)
 
 
+def test_atom_sign_must_not_be_a_bool():
+    # True == 1, so only a type check refuses it
+    with pytest.raises(ValueError, match="sign"):
+        Atom("x", True)
+
+
 # --- the shared reduced-word core ---------------------------------------------
 
 @pytest.mark.parametrize("random_of", [random_word, random_diff_word])
@@ -375,3 +382,59 @@ def test_words_of_two_theories_never_mix():
         Word() * DiffWord()
     with pytest.raises(TypeError):
         DiffWord() * Word()
+
+
+# --- hashing on first use -------------------------------------------------------
+
+def _chain_by_brackets():
+    w = gen("x") * gen("y", -1)
+    for _ in range(2000):
+        w = operated.bracket(w)
+    return w
+
+
+@pytest.mark.parametrize("build", [
+    lambda: parse_word("<" * 2000 + "x y^-1" + ">" * 2000),
+    _chain_by_brackets,
+], ids=["parse_word", "operated.bracket"])
+def test_hash_of_a_never_hashed_deep_chain_does_not_recurse(build):
+    # each atom hashes its body when it is built, one level at a time, so the
+    # first hash() of the whole chain reads stored hashes only
+    w = build()
+    assert w._hash is None
+    assert hash(w) == hash(build()) == hash(w.atoms)
+    assert w == build()
+
+
+def _pairs_built_apart():
+    # (u, v, u == v): words built apart, by the parser and by hand or by a product
+    return [
+        (parse_word("<x <y>^-1> z^-1"),
+         Word((Atom(Word((Atom("x"), Atom(Word((Atom("y"),)), -1)))), Atom("z", -1))), True),
+        (parse_word("<x y> y^-1 x"),
+         parse_word("<x y> x") * gen("x", -1) * gen("y", -1) * gen("x"), True),
+        (parse_diff_word("x.1 y.0^-1"),
+         DiffWord((DiffLetter("x", 1), DiffLetter("y", 0, -1))), True),
+        (parse_diff_word("x.1 x.0 y.1 x.0^-1"),
+         DiffWord((DiffLetter("x", 1), DiffLetter("x"))) * parse_diff_word("y.1 x.0^-1"), True),
+        (parse_word("<x y> z"), parse_word("<x y> z^-1"), False),
+        (parse_word("<x y>"), parse_word("<y x>"), False),
+        (parse_diff_word("x.1 y.0"), parse_diff_word("x.1 y.1"), False),
+    ]
+
+
+@pytest.mark.parametrize("hashed_first", ["neither", "left", "right", "both"])
+def test_words_built_apart_compare_and_hash_alike_whichever_was_hashed(hashed_first):
+    for u, v, equal in _pairs_built_apart():
+        assert u is not v and u._hash is None and v._hash is None
+        if hashed_first in ("left", "both"):
+            hash(u)
+        if hashed_first in ("right", "both"):
+            hash(v)
+        before = (u._hash, v._hash)
+        assert (u == v) is (v == u) is equal
+        assert (u._hash, v._hash) == before  # comparing hashes nothing
+        assert (v in {u: "u"}) is (u in {v: "v"}) is equal
+        if equal:
+            assert hash(u) == hash(v)
+            assert {u: "u"}[v] == "u" and {v: "v"}[u] == "v"
