@@ -51,12 +51,11 @@ __all__ = [
     "validate_group",
 ]
 
-DEFAULT_ENUM_BOUND = 12
-DEFAULT_ENUM_BUDGET = 10**8
+ENUM_NODE_BUDGET = 10**6
 
 
 class EnumerationBudgetError(ValueError):
-    """The operator search space exceeds the configured budget."""
+    """The operator search tried more images than ``ENUM_NODE_BUDGET``."""
 
 
 # --- operator maps ----------------------------------------------------------
@@ -81,6 +80,8 @@ def inversion_operator(group: FiniteGroup) -> tuple[int, ...]:
 
 def constant_operator(group: FiniteGroup, value: Optional[int] = None) -> tuple[int, ...]:
     v = group.identity_index if value is None else value
+    if v not in range(len(group)):
+        raise ValueError(f"the constant value {v!r} is not an element index")
     return (v,) * len(group)
 
 
@@ -160,22 +161,20 @@ def _pair_rule(rows, inv, law: Law, action) -> Callable:
     ``c`` is forced.
     """
     if law is Law.ENDO:
-        rule = lambda a, p, b, q: (rows[a][b], rows[p][q])
-    elif law is Law.DIFF_PLUS:
-        rule = lambda a, p, b, q: (rows[a][b], rows[rows[rows[p][a]][q]][inv[a]])
-    elif law is Law.DIFF_MINUS:
-        rule = lambda a, p, b, q: (rows[a][b], rows[rows[rows[a][q]][inv[a]]][p])
-    elif law is Law.CROSSED:
-        rule = lambda a, p, b, q: (rows[a][b], rows[p][action[a][q]])
-    elif law is Law.RB_PLUS:
+        return lambda a, p, b, q: (rows[a][b], rows[p][q])
+    if law is Law.DIFF_PLUS:
+        return lambda a, p, b, q: (rows[a][b], rows[rows[rows[p][a]][q]][inv[a]])
+    if law is Law.DIFF_MINUS:
+        return lambda a, p, b, q: (rows[a][b], rows[rows[rows[a][q]][inv[a]]][p])
+    if law is Law.CROSSED:
+        if action is None:
+            raise ValueError("the crossed-homomorphism law needs an action")
+        return lambda a, p, b, q: (rows[a][b], rows[p][action[a][q]])
+    if law is Law.RB_PLUS:
         # c = a B(a) b B(a)^-1
-        rule = lambda a, p, b, q: (rows[a][rows[rows[p][b]][inv[p]]], rows[p][q])
-    elif law is Law.RB_MINUS:
-        # c = C(a) b C(a)^-1 a
-        rule = lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q])
-    else:
-        raise ValueError(f"unknown law {law!r}")
-    return rule
+        return lambda a, p, b, q: (rows[a][rows[rows[p][b]][inv[p]]], rows[p][q])
+    # Law.RB_MINUS, the last law: c = C(a) b C(a)^-1 a
+    return lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q])
 
 
 def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
@@ -242,12 +241,9 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
     again.
     """
     law = Law(law)
-    n = len(group)
-    if len(op) != n:
-        raise ValueError(f"operator must have {n} images, got {len(op)}")
-    if law is Law.CROSSED:
-        if action is None:
-            raise ValueError("the crossed-homomorphism law needs an action")
+    if len(op) != len(group):
+        raise ValueError(f"operator must have {len(group)} images, got {len(op)}")
+    if law is Law.CROSSED and action is not None:
         action = _checked_action(group, action)
     bad = first_violation(group, op, law, action)
     return None if bad is None else (group.name(bad[0]), group.name(bad[1]))
@@ -277,9 +273,8 @@ class LawTarget(OperatedTarget):
 
 
 def enumerate_operators(group: FiniteGroup, law: Law,
-                        action: Optional[Sequence[Sequence[int]]] = None, *,
-                        max_size: int = DEFAULT_ENUM_BOUND,
-                        budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
+                        action: Optional[Sequence[Sequence[int]]] = None
+                        ) -> list[tuple[int, ...]]:
     """All operator maps satisfying the law, in lexicographic image order.
 
     Assigns and propagates.  The law's pair rule says that the pair
@@ -291,20 +286,17 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     pairs ``(k, a)`` and ``(a, k)`` for ``k`` and every element taken off
     before it.  A forced image of an element without one is set and queued,
     and a forced image that differs from the one already set prunes the
-    branch.  So on each path every ordered pair is checked exactly once, the
-    maps found are exactly those satisfying the law, and the practical cost
-    is far below the |G|^|G| candidate bound enforced by ``budget``.  The
-    found maps are sorted at the end.
+    branch.  So on each path every ordered pair is checked exactly once, and
+    the maps found are exactly those satisfying the law.  The maps come out
+    sorted: two of them first differ at the element of a branch point, as
+    both keep every image set before it, and the branch tries images in
+    ascending order.  Trying more than ``ENUM_NODE_BUDGET`` (10^6) images at
+    branch points raises :class:`EnumerationBudgetError`; every law on every
+    built-in group up to order 64 tries at most 36,992 (D32).
     """
     law = Law(law)
     n = len(group)
-    if n > max_size:
-        raise EnumerationBudgetError(f"group order {n} exceeds the enumeration bound {max_size}")
-    if n ** n > budget:
-        raise EnumerationBudgetError(f"{n}^{n} candidate maps exceed the budget {budget}")
-    if law is Law.CROSSED:
-        if action is None:
-            raise ValueError("the crossed-homomorphism law needs an action")
+    if law is Law.CROSSED and action is not None:
         action = _checked_action(group, action)
     rule = _pair_rule(group._table, group._inv, law, action)
 
@@ -313,6 +305,7 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     # elements taken off it (a prefix) and the trail undone on backtracking
     trail: list[int] = []
     found: list[tuple[int, ...]] = []
+    left = ENUM_NODE_BUDGET  # the images still to try at branch points
 
     def propagate(x: int, p: int) -> bool:
         # give x the image p and every image that forces; False on a conflict
@@ -340,11 +333,16 @@ def enumerate_operators(group: FiniteGroup, law: Law,
         return True
 
     def extend(x: int) -> None:
+        nonlocal left
         while x < n and images[x] is not None:
             x += 1
         if x == n:
             found.append(tuple(images))  # type: ignore[arg-type]
             return
+        left -= n  # the branch below tries all n images of x
+        if left < 0:
+            raise EnumerationBudgetError(f"the {law.value} search on a group of order {n} "
+                                         f"tries more than {ENUM_NODE_BUDGET} images")
         mark = len(trail)
         for p in range(n):
             if propagate(x, p):
@@ -354,13 +352,14 @@ def enumerate_operators(group: FiniteGroup, law: Law,
             del trail[mark:]
 
     extend(0)
-    found.sort()
     return found
 
 
 def convert_weight(op: Sequence[int], group: FiniteGroup) -> tuple[int, ...]:
     """g -> P(g^-1): swaps a weight +1 Rota-Baxter operator with a weight -1
     one; applying it twice gives back the original map."""
+    if len(op) != len(group):
+        raise ValueError(f"operator must have {len(group)} images, got {len(op)}")
     return tuple(op[group.inv(i)] for i in group.iter_elements())
 
 

@@ -7,6 +7,7 @@ from itertools import permutations, product
 import pytest
 
 from helpers import enumerate_operators_prefix
+from opgroups import finite
 from opgroups.differential import DiffTarget
 from opgroups.finite import (
     EnumerationBudgetError,
@@ -142,6 +143,22 @@ def test_inversion_is_rb_plus_on_any_group():
 def test_constant_identity_is_diff_plus():
     for g in (cyclic(4), symmetric(3)):
         assert check_identity(g, constant_operator(g), Law.DIFF_PLUS) is None
+
+
+@pytest.mark.parametrize("value", [99, -1, 3])
+def test_constant_operator_checks_its_value(value):
+    assert constant_operator(cyclic(3), 2) == (2, 2, 2)
+    with pytest.raises(ValueError, match=rf"the constant value {value} is not an element index"):
+        constant_operator(cyclic(3), value)
+
+
+def test_the_crossed_law_needs_an_action_everywhere():
+    g = cyclic(3)
+    for check in (lambda: first_violation(g, (0, 0, 0), Law.CROSSED),
+                  lambda: check_identity(g, (0, 0, 0), Law.CROSSED),
+                  lambda: enumerate_operators(g, Law.CROSSED)):
+        with pytest.raises(ValueError, match="^the crossed-homomorphism law needs an action$"):
+            check()
 
 
 # Independent oracle for the laws: each predicate is written out from the
@@ -431,11 +448,53 @@ def test_diff_operators_satisfy_inverse_law():
                 assert lhs == rhs
 
 
-def test_enumeration_budget_errors():
-    with pytest.raises(EnumerationBudgetError, match="budget"):
-        enumerate_operators(symmetric(3), Law.ENDO, budget=100)
-    with pytest.raises(EnumerationBudgetError, match="bound"):
-        enumerate_operators(symmetric(4), Law.ENDO, max_size=12)
+def test_enumeration_budget_errors(monkeypatch):
+    # the endo search on S3 branches 6 times and tries all 6 images each time
+    g = symmetric(3)
+    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 36)
+    assert len(enumerate_operators(g, Law.ENDO)) == 10
+    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 35)
+    with pytest.raises(EnumerationBudgetError,
+                       match=r"^the endo search on a group of order 6 tries more than 35 images$"):
+        enumerate_operators(g, Law.ENDO)
+
+
+PAST_ORDER_8 = {**{f"C{n}": (lambda n=n: cyclic(n)) for n in (9, 10, 12)},
+                "A4": lambda: alternating(4), "D5": lambda: dihedral(5), "D6": lambda: dihedral(6)}
+
+
+@pytest.mark.parametrize("name", PAST_ORDER_8)
+def test_enumeration_matches_prefix_search_past_order_8(name):
+    # in the built-in labelling only: under a shuffle, D6 keeps the prefix
+    # search busy for seconds
+    g = PAST_ORDER_8[name]()
+    for law in Law:
+        action = adjoint_action(g) if law is Law.CROSSED else None
+        assert enumerate_operators(g, law, action) == enumerate_operators_prefix(g, law, action)
+
+
+def descendent_table(g, op):
+    """The products a∘b = a B(a) b B(a)^-1 of element indices."""
+    return [[g.mul(g.mul(g.mul(a, op[a]), b), g.inv(op[a])) for b in range(len(g))]
+            for a in range(len(g))]
+
+
+@pytest.mark.parametrize("make,endo,rb1", [(lambda: symmetric(4), 58, 100),
+                                           (lambda: dihedral(12), 196, 288)])
+def test_order_24_operators_meet_identities_that_need_no_brute_force(make, endo, rb1):
+    g = make()
+    m, i = g.mul, g.inv
+    ops = {law: enumerate_operators(g, law) for law in Law if law is not Law.CROSSED}
+    assert (len(ops[Law.ENDO]), len(ops[Law.RB_PLUS])) == (endo, rb1)
+    assert enumerate_operators(g, Law.CROSSED, adjoint_action(g)) == ops[Law.DIFF_PLUS]
+    # D(a) = φ(a) a^-1 is a weight-1 differential operator exactly when φ is
+    # an endomorphism
+    assert ops[Law.DIFF_PLUS] == sorted(tuple(m(phi[a], i(a)) for a in range(len(g)))
+                                        for phi in ops[Law.ENDO])
+    assert ops[Law.RB_MINUS] == sorted(convert_weight(op, g) for op in ops[Law.RB_PLUS])
+    # the descendent group of a Rota-Baxter operator (Guo, Lang & Sheng 2021)
+    for op in ops[Law.RB_PLUS]:
+        FiniteGroup(list(g.elements), descendent_table(g, op))
 
 
 # --- weight conversion and projections ----------------------------------------
@@ -447,6 +506,12 @@ def test_convert_weight_examples():
     conv = convert_weight(inversion_operator(s3), s3)
     assert conv == identity_operator(s3)
     assert check_identity(s3, conv, Law.RB_MINUS) is None
+
+
+def test_convert_weight_checks_the_length():
+    for op in [(0, 1, 2), (0,)]:
+        with pytest.raises(ValueError, match=rf"operator must have 2 images, got {len(op)}"):
+            convert_weight(op, cyclic(2))
 
 
 def test_convert_weight_is_involution_and_swaps_laws():
