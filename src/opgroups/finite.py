@@ -17,8 +17,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .groups import (DEFAULT_CHECK_BOUND, FiniteGroup, GroupTableError, alternating, cyclic,
-                     dihedral, klein_four, quaternion, symmetric, validate_group)
+from .groups import (FiniteGroup, GroupTableError, alternating, cyclic, dihedral, klein_four,
+                     quaternion, symmetric, validate_group)
 from .operated import OperatedTarget
 
 __all__ = [
@@ -78,9 +78,14 @@ def inversion_operator(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(group.inv(i) for i in group.iter_elements())
 
 
+def _is_index(group: FiniteGroup, x) -> bool:
+    # a bool is an int, but names no element
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < len(group)
+
+
 def constant_operator(group: FiniteGroup, value: Optional[int] = None) -> tuple[int, ...]:
     v = group.identity_index if value is None else value
-    if v not in range(len(group)):
+    if not _is_index(group, v):
         raise ValueError(f"the constant value {v!r} is not an element index")
     return (v,) * len(group)
 
@@ -186,7 +191,10 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     Each pair is tested by the law's pair rule (the one the operator search
     uses), on the Cayley table of a :class:`FiniteGroup` or, for any other
     carrier, on a table of its elements built with ``group.mul`` and
-    ``group.inv``.
+    ``group.inv``.  On a :class:`FiniteGroup` the action of the crossed law
+    is validated by :func:`validate_action`; the last action that passed is
+    remembered by value, with the table, so checking many operators against
+    one action validates it once.
     """
     law = Law(law)
     elems = list(group.iter_elements())
@@ -197,6 +205,8 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     ims = [pos[images[x]] for x in elems]
     if isinstance(group, FiniteGroup):
         rows, inv = group._table, group._inv
+        if law is Law.CROSSED and action is not None:
+            action = _checked_action(group, action)
     else:
         rows, inv = _carrier_tables(group, elems, pos)
         if action is not None:
@@ -233,18 +243,11 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
     """Test the law over all ordered pairs.
 
     Returns None when the law holds everywhere, else the first violating
-    pair of element names in element order.  The action of the crossed law
-    is validated on a snapshot of its entries, and the last snapshot that
-    passed is remembered by value, with the group's table: checking many
-    operators against one action validates it once, while an action that
-    differs in any entry, or is the same list mutated since, is validated
-    again.
+    pair of element names in element order.  :func:`first_violation`
+    validates the action of the crossed law.
     """
-    law = Law(law)
     if len(op) != len(group):
         raise ValueError(f"operator must have {len(group)} images, got {len(op)}")
-    if law is Law.CROSSED and action is not None:
-        action = _checked_action(group, action)
     bad = first_violation(group, op, law, action)
     return None if bad is None else (group.name(bad[0]), group.name(bad[1]))
 
@@ -366,10 +369,12 @@ def convert_weight(op: Sequence[int], group: FiniteGroup) -> tuple[int, ...]:
 def _as_index_set(group: FiniteGroup, members: Iterable) -> set[int]:
     out = set()
     for x in members:
-        out.add(group.index(x) if isinstance(x, str) else int(x))
-    for i in out:
-        if not 0 <= i < len(group):
-            raise ValueError(f"element index {i} out of range")
+        if isinstance(x, str):
+            out.add(group.index(x))
+        elif _is_index(group, x):
+            out.add(x)
+        else:
+            raise ValueError(f"the member {x!r} is neither an element name nor an element index")
     return out
 
 
@@ -436,13 +441,14 @@ def _as_list(value, what: str) -> list:
     return value
 
 
-def load_group_file(path, *, max_size: int = DEFAULT_CHECK_BOUND) -> GroupData:
+def load_group_file(path) -> GroupData:
     """Read and validate a group file (YAML/JSON mapping).
 
     Required keys: ``elements`` (list of names) and ``table`` (list of rows
     of names).  Optional: ``operator`` (list of names parallel to elements),
     ``action`` (matrix of names) and ``subgroups`` (mapping of name ->
-    element list).  Unknown keys are rejected.
+    element list).  Unknown keys are rejected.  The group's order is at most
+    64, the reach of ``ENUM_NODE_BUDGET`` (see :class:`FiniteGroup`).
     """
     import yaml  # only the group-file functions need it
     with open(path, encoding="utf-8") as fh:
@@ -458,7 +464,7 @@ def load_group_file(path, *, max_size: int = DEFAULT_CHECK_BOUND) -> GroupData:
     elements = [str(s) for s in _as_list(raw["elements"], "elements")]
     table = [[str(s) for s in _as_list(row, f"table row {i}")]
              for i, row in enumerate(_as_list(raw["table"], "table"))]
-    group = validate_group(elements, table, max_size=max_size)
+    group = validate_group(elements, table)
 
     operator = None
     if "operator" in raw:

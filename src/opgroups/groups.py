@@ -10,7 +10,7 @@ from typing import Sequence
 __all__ = ["FiniteGroup", "GroupTableError", "alternating", "cyclic", "dihedral", "klein_four",
            "quaternion", "symmetric", "validate_group"]
 
-DEFAULT_CHECK_BOUND = 64
+ORDER_BOUND = 64
 
 
 class GroupTableError(ValueError):
@@ -22,17 +22,18 @@ class FiniteGroup:
 
     ``elements`` are the element names; all arithmetic is on indices into
     that list.  Construction checks closure, identity, inverses and full
-    associativity, so an instance is always a genuine group.
+    associativity, so an instance is always a genuine group.  The order is at
+    most ``ORDER_BOUND`` (64), the reach of ``finite.ENUM_NODE_BUDGET``: every
+    law on every built-in group up to order 64 enumerates within it.
     """
 
-    def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]], *,
-                 max_size: int = DEFAULT_CHECK_BOUND):
+    def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]]):
         names = tuple(elements)
         n = len(names)
         if n == 0:
             raise GroupTableError("empty table")
-        if n > max_size:
-            raise GroupTableError(f"group order {n} exceeds the checking bound {max_size}")
+        if n > ORDER_BOUND:
+            raise GroupTableError(f"group order {n} exceeds the checking bound {ORDER_BOUND}")
         if len(set(names)) != n:
             raise GroupTableError("element names are not unique")
         if any(not isinstance(s, str) or not s for s in names):
@@ -111,8 +112,7 @@ class FiniteGroup:
         return self.elements[i]
 
 
-def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]], *,
-                   max_size: int = DEFAULT_CHECK_BOUND) -> FiniteGroup:
+def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> FiniteGroup:
     """Build a FiniteGroup from a table of element *names*, checking all axioms."""
     names = list(elements)
     pos = {s: i for i, s in enumerate(names)}
@@ -126,7 +126,7 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]], *,
                 raise GroupTableError(f"table is not closed: {entry!r} is not a declared element")
             out.append(pos[entry])
         rows.append(out)
-    return FiniteGroup(names, rows, max_size=max_size)
+    return FiniteGroup(names, rows)
 
 
 # --- standard groups --------------------------------------------------------

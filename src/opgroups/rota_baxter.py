@@ -26,12 +26,11 @@ the incoming one cancel, merge into one bracket that is pushed in place of
 the incoming atom, or stay side by side.  This is leftmost-first rewriting of
 the concatenated atoms.  Only a merge recurses, and only into the bracket
 bodies, so the product recurses as deep as the brackets nest, not once per
-letter.  Each call of :func:`diamond` or :func:`diamond_conjugate` memoises
-its merges, keyed by the pair of bracket atoms, for the length of that call:
-the merges of nested brackets ask for the same pairs many times over, and each
-is computed once.  The memo is dropped when the call returns, so no memory
-outlives a product.  The test suite checks the product against a flat,
-unmemoised rewriting oracle.
+letter.  Each call of :func:`diamond` memoises its merges, keyed by the pair
+of bracket atoms, for the length of that call: the merges of nested brackets
+ask for the same pairs many times over, and each is computed once.  The memo
+is dropped when the call returns, so no memory outlives a product.  The test
+suite checks the product against a flat, unmemoised rewriting oracle.
 
 Because the Rota-Baxter relation forces ``B(1) = 1`` in every group carrying
 such an operator (``B(1)B(1) = B(1 · B(1) 1 B(1)^-1) = B(1)``), the bracket
@@ -58,11 +57,9 @@ from .finite import Law, LawTarget
 from .words import Atom, Word
 
 __all__ = [
-    "DEFAULT_GUARD_STEPS",
     "DiamondLimitError",
     "RBTarget",
     "diamond",
-    "diamond_conjugate",
     "evaluate",
     "find_rb_violation",
     "is_rb_word",
@@ -72,7 +69,7 @@ __all__ = [
 
 # The guard counts the distinct bracket merges one product makes (memo
 # misses), not the requests for them; squaring <<<<<x>>>>> takes 453.
-DEFAULT_GUARD_STEPS = 1_000_000
+MERGE_BUDGET = 1_000_000
 
 # The product's stack machine leaves its stack reduced (see _Product.push),
 # so it skips free reduction.
@@ -82,10 +79,10 @@ _UNSEEN = object()  # not yet in a memo or cache; None is a value there
 
 class DiamondLimitError(RuntimeError):
     """The recursion guard fired: one product made more distinct bracket
-    merges than its ``max_steps`` budget.  This signals a bug in the product,
+    merges than ``MERGE_BUDGET`` (10^6).  This signals a bug in the product,
     not a property of the input; it must never happen for valid Rota-Baxter
-    words under the default budget.  The message names the budget and the
-    lengths and depths of the two operands."""
+    words.  The message names the budget and the lengths and depths of the
+    two operands."""
 
 
 def find_rb_violation(w: Word) -> Optional[str]:
@@ -174,12 +171,13 @@ def rb_inverse(w: Word) -> Word:
 
 class _Product:
     # One per top-level product: the memo of every bracket merge made so far
-    # in this call, the merge budget and the operands named when it runs out.
-    __slots__ = ("memo", "left", "budget", "u", "v")
+    # in this call, the merges left in the budget and the operands named when
+    # it runs out.
+    __slots__ = ("memo", "left", "u", "v")
 
-    def __init__(self, steps: int, u: Word, v: Word):
+    def __init__(self, u: Word, v: Word):
         self.memo: dict[tuple[Atom, Atom], Optional[Atom]] = {}
-        self.left = self.budget = steps
+        self.left = MERGE_BUDGET
         self.u, self.v = u, v
 
     def push(self, stack: list, incoming) -> list:
@@ -223,21 +221,19 @@ class _Product:
         if self.left < 0:
             u, v = self.u, self.v
             raise DiamondLimitError(
-                f"diamond recursion guard exceeded: more than {self.budget} distinct "
+                f"diamond recursion guard exceeded: more than {MERGE_BUDGET} distinct "
                 f"subproducts for operands of length {len(u)} and {len(v)}, "
                 f"depth {u.depth()} and {v.depth()}")
-        body = self.push(list(a.base.atoms), self.twist(a, b.base))
+        # AD of b̄ by the positive bracket a: the left-bracketed conjugate
+        # (a ⋄ b̄) ⋄ a^-1, so every factor of b̄ meets its left neighbour
+        # before the closing a^-1 meets the last one
+        ad = self.push(self.push([a], b.base.atoms), (a.inverse(),))
+        body = self.push(list(a.base.atoms), ad)
         m = self.memo[key] = Atom._make(_word(tuple(body)), 1) if body else None
         return m
 
-    def twist(self, a: Atom, vbar: Word) -> list:
-        # AD of vbar by the positive bracket a: the left-bracketed conjugate
-        # (a ⋄ vbar) ⋄ a^-1, so every factor of vbar meets its left
-        # neighbour before the closing a^-1 meets the last one
-        return self.push(self.push([a], vbar.atoms), (a.inverse(),))
 
-
-def diamond(u: Word, v: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
+def diamond(u: Word, v: Word) -> Word:
     """The product of the free Rota-Baxter group.
 
     Both arguments must be Rota-Baxter words; the result is one.  The empty
@@ -245,26 +241,14 @@ def diamond(u: Word, v: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
     identity, whatever the length of ``w``.
 
     The atoms of ``v`` are pushed one at a time onto those of ``u``; see the
-    module docstring.  ``max_steps`` bounds the number of distinct bracket
-    merges the call makes; each is memoised for the rest of the call, so
-    asking for it again costs no step.  :class:`DiamondLimitError` is raised
-    beyond it.
+    module docstring.  ``MERGE_BUDGET`` (10^6) bounds the number of distinct
+    bracket merges the call makes; each is memoised for the rest of the call,
+    so asking for it again costs no step.  :class:`DiamondLimitError` is
+    raised beyond it.
     """
     _require_rb(u, "left factor")
     _require_rb(v, "right factor")
-    return _word(tuple(_Product(max_steps, u, v).push(list(u.atoms), v.atoms)))
-
-
-def diamond_conjugate(u: Word, vbar: Word, *, max_steps: int = DEFAULT_GUARD_STEPS) -> Word:
-    """The twist AD of ``vbar`` by a one-atom positive bracket ``u``: the
-    left-bracketed diamond conjugation ``(u ⋄ vbar) ⋄ u^-1``, the body twist
-    that :func:`diamond` uses to merge ``u`` with ``<vbar>``.  ``max_steps``
-    bounds its distinct bracket merges as in :func:`diamond`."""
-    if len(u.atoms) != 1 or not u.atoms[0].is_bracket or u.atoms[0].sign != 1:
-        raise ValueError("conjugating element must be a single positive bracket <...>")
-    _require_rb(u, "conjugating element")
-    _require_rb(vbar, "conjugated word")
-    return _word(tuple(_Product(max_steps, u, vbar).twist(u.atoms[0], vbar)))
+    return _word(tuple(_Product(u, v).push(list(u.atoms), v.atoms)))
 
 
 # --- evaluation into Rota-Baxter groups --------------------------------------

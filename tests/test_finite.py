@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -115,8 +116,9 @@ def test_validate_rejects_nonassociative_latin_square():
 
 
 def test_size_bound():
-    with pytest.raises(GroupTableError, match="bound"):
-        validate_group(["e", "a"], [["e", "a"], ["a", "e"]], max_size=1)
+    assert len(cyclic(64)) == 64
+    with pytest.raises(GroupTableError, match=r"^group order 65 exceeds the checking bound 64$"):
+        cyclic(65)
 
 
 # --- law checking -------------------------------------------------------------
@@ -152,12 +154,39 @@ def test_constant_operator_checks_its_value(value):
         constant_operator(cyclic(3), value)
 
 
+def test_element_indices_must_be_ints():
+    with pytest.raises(ValueError, match=r"^the constant value True is not an element index$"):
+        constant_operator(cyclic(3), True)
+    d3 = dihedral(3)
+    with pytest.raises(ValueError, match=r"^the member 1\.9 is neither an element name nor "
+                       r"an element index$"):
+        projection_operator(d3, [0, 1.9, 2], [0, 3])
+    # names and int indices mix
+    assert (projection_operator(d3, [0, 1, 2], [0, "s"])
+            == projection_operator(d3, ["e", "r", "r2"], [0, 3]) == (0, 1, 2, 0, 1, 2))
+
+
 def test_the_crossed_law_needs_an_action_everywhere():
     g = cyclic(3)
     for check in (lambda: first_violation(g, (0, 0, 0), Law.CROSSED),
                   lambda: check_identity(g, (0, 0, 0), Law.CROSSED),
                   lambda: enumerate_operators(g, Law.CROSSED)):
         with pytest.raises(ValueError, match="^the crossed-homomorphism law needs an action$"):
+            check()
+
+
+@pytest.mark.parametrize("action,message", [
+    ([[0]], r"^action must be an 3x3 matrix$"),
+    ([[0, 1, 2], [1, 2, 7], [2, 0, 1]], r"^action entry 7 at \(a, a2\) is not an element index$"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], r"^action is not compatible with multiplication at "),
+], ids=["shape", "entry", "axiom"])
+def test_every_law_check_validates_the_action(action, message):
+    # first_violation used to index a short matrix and raise IndexError
+    g = cyclic(3)
+    for check in (lambda: first_violation(g, (0, 0, 0), Law.CROSSED, action),
+                  lambda: check_identity(g, (0, 0, 0), Law.CROSSED, action),
+                  lambda: enumerate_operators(g, Law.CROSSED, action)):
+        with pytest.raises(ValueError, match=message):
             check()
 
 
@@ -314,10 +343,18 @@ def test_a_carrier_that_is_not_closed_is_named():
         first_violation(OpenInverse(), {0: 0, 1: 0, 2: 0}, Law.DIFF_PLUS)
 
 
-def test_star_import_binds_adjoint_action():
+@pytest.mark.parametrize("name", ["opgroups", "opgroups.words", "opgroups.operated",
+                                  "opgroups.differential", "opgroups.rota_baxter",
+                                  "opgroups.groups", "opgroups.finite"])
+def test_star_import_binds_every_public_name(name):
+    # a stale __all__ entry makes the star import raise AttributeError
+    module = importlib.import_module(name)
     ns = {}
-    exec("from opgroups.finite import *", ns)
-    assert ns["adjoint_action"] is adjoint_action
+    exec(f"from {name} import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(module.__all__)
+    for attr in module.__all__:
+        assert ns[attr] is getattr(module, attr)
 
 
 def test_action_validation_rejects_bad_matrix():
@@ -471,6 +508,30 @@ def test_enumeration_matches_prefix_search_past_order_8(name):
     for law in Law:
         action = adjoint_action(g) if law is Law.CROSSED else None
         assert enumerate_operators(g, law, action) == enumerate_operators_prefix(g, law, action)
+
+
+SHUFFLED_PAST_ORDER_8 = {"C9": lambda: cyclic(9), "C12": lambda: cyclic(12),
+                         "A4": lambda: alternating(4), "D5": lambda: dihedral(5),
+                         "D6": lambda: dihedral(6), "D12": lambda: dihedral(12),
+                         "S4": lambda: symmetric(4)}
+
+
+@pytest.mark.parametrize("name", SHUFFLED_PAST_ORDER_8)
+def test_enumeration_commutes_with_relabelling_past_order_8(name):
+    # a relabelling is an isomorphism, so under a seeded shuffle the search
+    # finds the images k -> pos[op[order[k]]] of the maps it finds in the
+    # built-in labelling, which the tests around this one pin down; the
+    # crossed law uses each group's own adjoint action
+    g = SHUFFLED_PAST_ORDER_8[name]()
+    order = list(range(len(g)))
+    random.Random(name).shuffle(order)
+    h = relabel(g, order)
+    pos = {x: k for k, x in enumerate(order)}
+    for law in Law:
+        crossed = law is Law.CROSSED
+        ops = enumerate_operators(g, law, adjoint_action(g) if crossed else None)
+        expected = sorted(tuple(pos[op[x]] for x in order) for op in ops)
+        assert enumerate_operators(h, law, adjoint_action(h) if crossed else None) == expected, law
 
 
 def descendent_table(g, op):

@@ -4,13 +4,13 @@ from collections import defaultdict
 import pytest
 
 from helpers import diamond_rewrite, random_rb_word
+from opgroups import rota_baxter
 from opgroups.finite import Law, cyclic, dihedral, enumerate_operators, symmetric
 from opgroups.operated import UnassignedGeneratorError, bracket
 from opgroups.rota_baxter import (
     DiamondLimitError,
     RBTarget,
     diamond,
-    diamond_conjugate,
     evaluate,
     find_rb_violation,
     is_rb_word,
@@ -159,25 +159,34 @@ def test_diamond_rewrite_trivia():
     assert diamond_rewrite(u, Word()) == u
 
 
-def test_recursion_guard_is_configurable():
+def test_recursion_guard_is_configurable(monkeypatch):
     u = rb_bracket(rb_bracket(rb_bracket(x)))
+    monkeypatch.setattr(rota_baxter, "MERGE_BUDGET", 3)
     with pytest.raises(DiamondLimitError):
-        diamond(u, u, max_steps=3)
+        diamond(u, u)
 
 
-def test_guard_error_names_budget_and_operands():
+def test_guard_error_names_budget_and_operands(monkeypatch):
     u = rb_bracket(rb_bracket(rb_bracket(x)))
-    with pytest.raises(DiamondLimitError, match=r"more than 3 distinct subproducts "
-                       r"for operands of length 1 and 1, depth 3 and 3"):
-        diamond(u, u, max_steps=3)
+    monkeypatch.setattr(rota_baxter, "MERGE_BUDGET", 3)
+    with pytest.raises(DiamondLimitError, match=r"^diamond recursion guard exceeded: more "
+                       r"than 3 distinct subproducts for operands of length 1 and 1, "
+                       r"depth 3 and 3$"):
+        diamond(u, u)
 
 
-def test_depth_five_square_computes_each_subproduct_once():
-    # one product memoises its bracket merges: 453 distinct ones here, where
-    # recomputing every subproduct on every request took about 2.8e7 steps
+def test_depth_five_square_computes_each_subproduct_once(monkeypatch):
+    # one product memoises its bracket merges: exactly 453 distinct ones
+    # here, where recomputing every subproduct on every request took about
+    # 2.8e7 steps
     w = parse_word("<<<<<x>>>>>")
-    r = diamond(w, w, max_steps=10_000)
+    monkeypatch.setattr(rota_baxter, "MERGE_BUDGET", 453)
+    r = diamond(w, w)
     assert is_rb_word(r) and not r.is_identity
+    monkeypatch.setattr(rota_baxter, "MERGE_BUDGET", 452)
+    with pytest.raises(DiamondLimitError, match=r"more than 452 distinct subproducts "
+                       r"for operands of length 1 and 1, depth 5 and 5$"):
+        diamond(w, w)
 
 
 def test_depth_four_square_agrees_with_rewriting_oracle():
@@ -187,31 +196,31 @@ def test_depth_four_square_agrees_with_rewriting_oracle():
 
 # --- the conjugation twist --------------------------------------------------------
 
+def conjugate(u, v):
+    """The left-bracketed diamond conjugation (u ⋄ v) ⋄ u^-1: for a positive
+    bracket u, the twist by which diamond merges u with <v>."""
+    return diamond(diamond(u, v), rb_inverse(u))
+
+
 def test_conjugate_examples():
-    assert diamond_conjugate(bracket(x), y) == bracket(x) * y * rb_inverse(bracket(x))
-    assert diamond_conjugate(bracket(x), Word()) == Word()
-
-
-def test_conjugate_requires_positive_bracket():
-    with pytest.raises(ValueError, match="positive bracket"):
-        diamond_conjugate(x, y)
-    with pytest.raises(ValueError, match="positive bracket"):
-        diamond_conjugate(rb_inverse(bracket(x)), y)
+    assert conjugate(bracket(x), y) == bracket(x) * y * rb_inverse(bracket(x))
+    assert conjugate(bracket(x), Word()) == Word()
 
 
 def test_conjugate_matches_diamond_conjugation():
+    # the twist inside a merge is the conjugation computed by two products
     rng = random.Random(13)
     for _ in range(1000):
         u = rb_bracket(random_rb_word(rng, max_depth=2, nonempty=True))
         v = random_rb_word(rng)
-        assert diamond_conjugate(u, v) == diamond(diamond(u, v), rb_inverse(u))
+        assert diamond(u, rb_bracket(v)) == rb_bracket(diamond(u.atoms[0].base, conjugate(u, v)))
 
 
 def test_conjugate_cancels_a_final_negative_bracket_first():
     # (<z> ⋄ <z>^-1) ⋄ <z>^-1 = <z>^-1: the final <z>^-1 of v cancels against
     # u before the closing u^-1 is merged in
     z_b = bracket(z)
-    assert diamond_conjugate(z_b, rb_inverse(z_b)) == rb_inverse(z_b)
+    assert conjugate(z_b, rb_inverse(z_b)) == rb_inverse(z_b)
 
 
 @pytest.mark.parametrize("u, expected", [
