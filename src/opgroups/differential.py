@@ -50,8 +50,8 @@ __all__ = [
 class DiffLetter:
     """A signed derived letter: generator symbol, derivative order, sign.
 
-    Like an :class:`~opgroups.words.Atom`, a letter stores its hash when it
-    is built, while a :class:`DiffWord` hashes its letters only on first
+    Unlike an :class:`~opgroups.words.Atom`, a letter stores its hash when
+    it is built, while a :class:`DiffWord` hashes its letters only on first
     use.  A letter holds no word, so its hash cannot recurse.
     """
 

@@ -17,8 +17,8 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .groups import (FiniteGroup, GroupTableError, alternating, cyclic, dihedral, klein_four,
-                     quaternion, symmetric, validate_group)
+from .groups import (FiniteGroup, GroupTableError, _is_index, alternating, cyclic, dihedral,
+                     klein_four, quaternion, symmetric, validate_group)
 from .operated import OperatedTarget
 
 __all__ = [
@@ -78,14 +78,9 @@ def inversion_operator(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(group.inv(i) for i in group.iter_elements())
 
 
-def _is_index(group: FiniteGroup, x) -> bool:
-    # a bool is an int, but names no element
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < len(group)
-
-
 def constant_operator(group: FiniteGroup, value: Optional[int] = None) -> tuple[int, ...]:
     v = group.identity_index if value is None else value
-    if not _is_index(group, v):
+    if not _is_index(v, len(group)):
         raise ValueError(f"the constant value {v!r} is not an element index")
     return (v,) * len(group)
 
@@ -110,21 +105,27 @@ def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None
         raise ValueError(f"action must be an {n}x{n} matrix")
     for g, row in enumerate(action):
         for x, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not _is_index(v, n):
                 raise ValueError(f"action entry {v!r} at ({group.name(g)}, {group.name(x)}) "
                                  "is not an element index")
-    e = group.identity_index
+    _check_action_axioms(group._table, group.identity_index, action, group.name)
+
+
+def _check_action_axioms(rows, e: int, action, name: Callable) -> None:
+    # the left-action axioms of an n x n table of element indices, on the
+    # Cayley table rows with identity index e; name(i) names element i
+    n = len(rows)
     for x in range(n):
         if action[e][x] != x:
-            raise ValueError(f"action of the identity moves {group.name(x)!r}")
+            raise ValueError(f"action of the identity moves {name(x)!r}")
     for a in range(n):
         for b in range(n):
-            ab = group.mul(a, b)
+            ab = rows[a][b]
             for x in range(n):
                 if action[ab][x] != action[a][action[b][x]]:
                     raise ValueError(
                         f"action is not compatible with multiplication at "
-                        f"({group.name(a)}, {group.name(b)}, {group.name(x)})")
+                        f"({name(a)}, {name(b)}, {name(x)})")
 
 
 # The last (Cayley table, action) pair that passed validate_action, by value:
@@ -191,26 +192,28 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     Each pair is tested by the law's pair rule (the one the operator search
     uses), on the Cayley table of a :class:`FiniteGroup` or, for any other
     carrier, on a table of its elements built with ``group.mul`` and
-    ``group.inv``.  On a :class:`FiniteGroup` the action of the crossed law
-    is validated by :func:`validate_action`; the last action that passed is
+    ``group.inv``.  The action of the crossed law is checked as
+    :func:`validate_action` checks it: its shape, each entry and the action
+    axioms.  On a :class:`FiniteGroup` the last action that passed is
     remembered by value, with the table, so checking many operators against
-    one action validates it once.
+    one action validates it once; on any other carrier, whose action is
+    indexed by its elements, it is checked on every call.
     """
     law = Law(law)
     elems = list(group.iter_elements())
     pos = {x: i for i, x in enumerate(elems)}
-    for x in elems:
-        if images[x] not in pos:
-            raise ValueError(f"the image {images[x]!r} of {x!r} is not an element")
-    ims = [pos[images[x]] for x in elems]
+    ims = [_position(pos, images[x]) for x in elems]
+    if None in ims:
+        x = elems[ims.index(None)]
+        raise ValueError(f"the image {images[x]!r} of {x!r} is not an element")
     if isinstance(group, FiniteGroup):
         rows, inv = group._table, group._inv
         if law is Law.CROSSED and action is not None:
             action = _checked_action(group, action)
     else:
         rows, inv = _carrier_tables(group, elems, pos)
-        if action is not None:
-            action = [[pos[action[x][y]] for y in elems] for x in elems]
+        if law is Law.CROSSED and action is not None:
+            action = _carrier_action(group, action, elems, pos, rows)
     rule = _pair_rule(rows, inv, law, action)
     for a, p in enumerate(ims):
         for b, q in enumerate(ims):
@@ -218,6 +221,14 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
             if ims[c] != v:
                 return elems[a], elems[b]
     return None
+
+
+def _position(pos: dict, x) -> Optional[int]:
+    # the index of the element x, or None; an unhashable x is no element
+    try:
+        return pos.get(x)
+    except TypeError:
+        return None
 
 
 def _carrier_tables(group, elems: list, pos: dict) -> tuple[list, list]:
@@ -235,6 +246,28 @@ def _carrier_tables(group, elems: list, pos: dict) -> tuple[list, list]:
         raise ValueError(f"the carrier is not closed: the inverse of {x!r} "
                          f"is {group.inv(x)!r}, not an element")
     return rows, inv
+
+
+def _carrier_action(group, action, elems: list, pos: dict, rows: list) -> list:
+    # the action of an enumerable carrier, indexed by its elements, as a
+    # table of element indices, checked as validate_action checks one
+    n = len(elems)
+    try:
+        cells = [[action[x][y] for y in elems] for x in elems]
+    except (LookupError, TypeError):
+        cells = None
+    if cells is None or len(action) != n or any(len(action[x]) != n for x in elems):
+        raise ValueError(f"action must be an {n}x{n} matrix")
+    table = [[_position(pos, v) for v in row] for row in cells]
+    for x, row in zip(elems, table):
+        if None in row:
+            y = elems[row.index(None)]
+            raise ValueError(f"action entry {action[x][y]!r} at ({x!r}, {y!r}) is not an element")
+    e = pos.get(group.identity())
+    if e is None:
+        raise ValueError(f"the identity {group.identity()!r} is not an element")
+    _check_action_axioms(rows, e, table, elems.__getitem__)
+    return table
 
 
 def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
@@ -371,7 +404,7 @@ def _as_index_set(group: FiniteGroup, members: Iterable) -> set[int]:
     for x in members:
         if isinstance(x, str):
             out.add(group.index(x))
-        elif _is_index(group, x):
+        elif _is_index(x, len(group)):
             out.add(x)
         else:
             raise ValueError(f"the member {x!r} is neither an element name nor an element index")

@@ -17,6 +17,11 @@ class GroupTableError(ValueError):
     """The raw table fails one of the group axioms (the message says which)."""
 
 
+def _is_index(x, n: int) -> bool:
+    # an element index of a group of order n; a bool is an int, but names no element
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
 class FiniteGroup:
     """A finite group backed by an exhaustively validated Cayley table.
 
@@ -41,10 +46,11 @@ class FiniteGroup:
         rows = tuple(tuple(row) for row in table)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GroupTableError(f"table is not {n}x{n}")
-        for row in rows:
-            for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
-                    raise GroupTableError(f"table is not closed: entry {x!r} is not an element index")
+        for a, row in enumerate(rows):
+            for b, x in enumerate(row):
+                if not _is_index(x, n):
+                    raise GroupTableError(f"table is not closed: entry {x!r} at "
+                                          f"({names[a]}, {names[b]}) is not an element index")
 
         self.elements = names
         self._table = rows

@@ -26,11 +26,12 @@ the incoming one cancel, merge into one bracket that is pushed in place of
 the incoming atom, or stay side by side.  This is leftmost-first rewriting of
 the concatenated atoms.  Only a merge recurses, and only into the bracket
 bodies, so the product recurses as deep as the brackets nest, not once per
-letter.  Each call of :func:`diamond` memoises its merges, keyed by the pair
-of bracket atoms, for the length of that call: the merges of nested brackets
-ask for the same pairs many times over, and each is computed once.  The memo
-is dropped when the call returns, so no memory outlives a product.  The test
-suite checks the product against a flat, unmemoised rewriting oracle.
+letter.  Each call of :func:`diamond` memoises its merges, keyed by the
+identities of the two bracket bodies, for the length of that call: the merges
+of nested brackets ask for the same pairs of body objects many times over,
+and each is computed once, with no word hashed.  The memo is dropped when the
+call returns, so no memory outlives a product.  The test suite checks the
+product against a flat, unmemoised rewriting oracle.
 
 Because the Rota-Baxter relation forces ``B(1) = 1`` in every group carrying
 such an operator (``B(1)B(1) = B(1 · B(1) 1 B(1)^-1) = B(1)``), the bracket
@@ -67,14 +68,15 @@ __all__ = [
     "rb_inverse",
 ]
 
-# The guard counts the distinct bracket merges one product makes (memo
-# misses), not the requests for them; squaring <<<<<x>>>>> takes 453.
+# The guard counts the distinct bracket merges one product makes, by the
+# identities of the two bodies (memo misses), not the requests for them;
+# squaring <<<<<x>>>>> takes 453.
 MERGE_BUDGET = 1_000_000
 
 # The product's stack machine leaves its stack reduced (see _Product.push),
 # so it skips free reduction.
 _word = Word._reduced
-_UNSEEN = object()  # not yet in a memo or cache; None is a value there
+_UNSEEN = object()  # not yet in the cache; None is a value there
 
 
 class DiamondLimitError(RuntimeError):
@@ -176,7 +178,9 @@ class _Product:
     __slots__ = ("memo", "left", "u", "v")
 
     def __init__(self, u: Word, v: Word):
-        self.memo: dict[tuple[Atom, Atom], Optional[Atom]] = {}
+        # (id of a's body, id of b's body) -> (a, b, their merge); keeping a
+        # and b keeps both bodies alive, so no id is reused during the call
+        self.memo: dict[tuple[int, int], tuple[Atom, Atom, Optional[Atom]]] = {}
         self.left = MERGE_BUDGET
         self.u, self.v = u, v
 
@@ -213,10 +217,10 @@ class _Product:
         if a.sign < 0:
             m = self.merge(b.inverse(), a.inverse())
             return None if m is None else m.inverse()
-        key = (a, b)
-        m = self.memo.get(key, _UNSEEN)
-        if m is not _UNSEEN:
-            return m
+        key = (id(a.base), id(b.base))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[2]
         self.left -= 1
         if self.left < 0:
             u, v = self.u, self.v
@@ -229,7 +233,8 @@ class _Product:
         # before the closing a^-1 meets the last one
         ad = self.push(self.push([a], b.base.atoms), (a.inverse(),))
         body = self.push(list(a.base.atoms), ad)
-        m = self.memo[key] = Atom._make(_word(tuple(body)), 1) if body else None
+        m = Atom._make(_word(tuple(body)), 1) if body else None
+        self.memo[key] = (a, b, m)
         return m
 
 

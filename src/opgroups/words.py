@@ -84,8 +84,11 @@ def _join(a: tuple, b: tuple) -> tuple:
 class Atom:
     """One letter of a word: a generator name or a bracketed word, with a sign.
 
-    An atom hashes ``(base, sign)`` when it is built, which hashes its body
-    one level deep; a lazy atom hash would recurse on a deep chain.
+    An atom hashes ``(base, sign)`` on the first ``hash()`` and keeps the
+    result in ``_hash``, None until then: most atoms of a product, a power or
+    a parsed text are never hashed.  The first hash of a bracket atom hashes
+    the unhashed bodies below it children first, on an explicit stack, so a
+    chain nested thousands deep hashes with no recursion.
     """
 
     __slots__ = ("base", "sign", "_hash")
@@ -100,7 +103,7 @@ class Atom:
             raise TypeError(f"atom base must be a generator name or a Word, got {type(base)!r}")
         self.base = base
         self.sign = sign
-        self._hash = hash((base, sign))
+        self._hash = None
 
     @property
     def is_bracket(self) -> bool:
@@ -125,7 +128,7 @@ class Atom:
         # trusted constructor for parts already known to be valid: a name
         # matched by _IDENT_RE or a Word, and a sign of +1 or -1
         a = cls.__new__(cls)
-        a.base, a.sign, a._hash = base, sign, hash((base, sign))
+        a.base, a.sign, a._hash = base, sign, None
         return a
 
     def inverse(self) -> "Atom":
@@ -140,7 +143,7 @@ class Atom:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Atom):
             return NotImplemented
-        if self.base is other.base:  # as in every lookup of the diamond's merge memo
+        if self.base is other.base:  # a shared body, as merges and ** make
             return self.sign == other.sign
         # an explicit stack of the atom pairs still to compare, so that equal
         # words nested thousands deep do not recurse through __eq__
@@ -149,21 +152,29 @@ class Atom:
             a, b = stack.pop()
             if a is b:
                 continue
-            if a._hash != b._hash or a.sign != b.sign:
+            # two stored hashes that differ decide at once; an unset one decides nothing
+            h, k = a._hash, b._hash
+            if (h is not None and k is not None and h != k) or a.sign != b.sign:
                 return False
             u, v = a.base, b.base
             if isinstance(u, str) or isinstance(v, str):
                 if u != v:
                     return False
             elif u is not v:
-                # a body is hashed with its atom, so both hashes are set
-                if u._hash != v._hash or len(u.atoms) != len(v.atoms):
+                h, k = u._hash, v._hash
+                if (h is not None and k is not None and h != k) or len(u.atoms) != len(v.atoms):
                     return False
                 stack.extend(zip(u.atoms, v.atoms))
         return True
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            base = self.base
+            if not isinstance(base, str) and base._hash is None:
+                _hash_bodies(base)
+            h = self._hash = hash((base, self.sign))
+        return h
 
     def __repr__(self) -> str:
         return format_word(Word._reduced((self,)))
@@ -186,9 +197,10 @@ class ReducedWord:
 
     A word hashes its atoms on the first ``hash()`` and keeps the result in
     ``_hash``, None until then: most intermediate words of a product or a
-    derivation are never hashed.  Hashing a word cannot recurse: an
-    :class:`Atom` hashes its body when it is built, so the first ``hash()``
-    of a word only reads its atoms' stored hashes, however deep they nest.
+    derivation are never hashed.  Hashing a word of atoms cannot recurse: the
+    first hash of an :class:`Atom` hashes the unhashed bodies below it
+    children first, so each body's hash only reads its atoms' stored hashes,
+    however deep they nest.
     """
 
     __slots__ = ("atoms", "_hash", "_cached_plan")
@@ -271,9 +283,9 @@ class Word(ReducedWord):
     evaluation plan (see :meth:`_make_plan`) and, for
     :mod:`opgroups.rota_baxter`, why it is not a Rota-Baxter word (None if
     it is one).  All three depend only on the atoms, which never change, so
-    a cached value is the value a fresh computation would give.  The hash
-    of a bracket body is set when its atom is built, so the first hash of a
-    word 2,000 brackets deep reads one level and does not recurse.
+    a cached value is the value a fresh computation would give.  Atoms
+    hash on first use too, children first, so the first hash of a word
+    2,000 brackets deep does not recurse.
     """
 
     __slots__ = ("_rb_violation",)
@@ -339,6 +351,22 @@ def _children_first(w: Word) -> list:
         else:
             order.append(frames.pop()[0])
     return order
+
+
+def _hash_bodies(w: Word) -> None:
+    # Hash w and the unhashed bodies below it, each after the bodies it
+    # contains, on an explicit stack of (body, rest of its atoms): the hash of
+    # a body then reads only stored hashes and does not recurse.  A body is
+    # hashed when it leaves the stack, so none is entered twice.
+    frames = [(w, iter(w.atoms))]
+    while frames:
+        for a in frames[-1][1]:
+            b = a.base
+            if not isinstance(b, str) and b._hash is None:
+                frames.append((b, iter(b.atoms)))
+                break
+        else:
+            hash(frames.pop()[0])
 
 
 def gen(name: str, sign: int = 1) -> Word:

@@ -11,7 +11,7 @@ from typing import Optional
 from opgroups.differential import DiffLetter, DiffWord
 from opgroups.finite import Law, _pair_rule
 from opgroups.rota_baxter import _require_rb
-from opgroups.words import Atom, Word
+from opgroups.words import Atom, ReducedWord, Word
 
 ALPHABET = ("x", "y", "z")
 
@@ -101,22 +101,23 @@ def derive_recursive(w: DiffWord) -> DiffWord:
     return out
 
 
-def derive_streamed(w: DiffWord) -> DiffWord:
-    """Oracle for ``differential.derive``: the product formula
-    (D(z_1) z_1) ... (D(z_n) z_n) (z_1 ... z_n)^-1 over the letters of ``w``,
-    with the whole word free-reduced, not only the seam."""
-    pieces: list[DiffLetter] = []
-    for a in w.atoms:
-        up = DiffLetter(a.symbol, a.order + 1, a.sign)
-        pieces += (up, a) if a.sign > 0 else (a, up)
-    return DiffWord(chain(pieces, w.inverse().atoms))
-
-
 def power_streamed(w, n: int):
     """Oracle for ``ReducedWord.__pow__``: one free reduction over |n|
     streamed copies of ``w``, or of its inverse for n < 0."""
     base = w if n >= 0 else w.inverse()
     return type(w)(chain.from_iterable(repeat(base.atoms, abs(n))))
+
+
+def record_hashes(monkeypatch) -> list:
+    """A list that collects every atom and word hashed until
+    ``monkeypatch.undo()``."""
+    calls: list = []
+    for cls in (Atom, ReducedWord):
+        def counting(obj, hash_of=cls.__hash__):
+            calls.append(obj)
+            return hash_of(obj)
+        monkeypatch.setattr(cls, "__hash__", counting)
+    return calls
 
 
 # --- independent oracle: fixpoint rewriting ----------------------------------

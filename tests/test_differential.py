@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import derive_recursive, derive_streamed, random_diff_word
+from helpers import derive_recursive, random_diff_word
 from opgroups.differential import (
     DiffLetter,
     DiffTarget,
@@ -89,12 +89,13 @@ def test_derive_matches_recursive_oracle():
 
 
 def test_derive_matches_the_fully_reduced_product_formula():
-    # derive reduces only the seam between the pieces and w^-1
+    # derive reduces only the seam between the pieces and w^-1, yet its
+    # result is the fully reduced word of the definition
     rng = random.Random(53)
     for _ in range(500):
         w = random_diff_word(rng, max_len=8, max_order=3)
         got = derive(w)
-        assert got == derive_streamed(w) == derive_recursive(w)
+        assert got == derive_recursive(w)
         assert not any(a.cancels(b) for a, b in zip(got.atoms, got.atoms[1:]))
 
 

@@ -87,6 +87,13 @@ def test_validate_rejects_unknown_entries():
         validate_group(["e", "a"], [["e", "a"], ["a", "b"]])
 
 
+def test_a_group_table_refuses_bool_entries():
+    # a bool is an int, but names no element
+    with pytest.raises(GroupTableError, match=r"^table is not closed: entry False at \(e, e\) "
+                       r"is not an element index$"):
+        FiniteGroup(["e", "a"], [[False, True], [True, False]])
+
+
 def test_validate_rejects_no_identity():
     # subtraction mod 3 is a Latin square with no two-sided identity
     names = ["a", "b", "c"]
@@ -188,6 +195,46 @@ def test_every_law_check_validates_the_action(action, message):
                   lambda: enumerate_operators(g, Law.CROSSED, action)):
         with pytest.raises(ValueError, match=message):
             check()
+
+
+class _C3:
+    # 0, 1, 2 under addition mod 3: a carrier that is not a FiniteGroup
+    def identity(self):
+        return 0
+
+    def iter_elements(self):
+        return range(3)
+
+    def mul(self, a, b):
+        return (a + b) % 3
+
+    def inv(self, a):
+        return -a % 3
+
+
+def test_the_crossed_law_validates_the_action_on_any_carrier():
+    # the action was read as given: [[0]] raised IndexError, an entry 7 a bare
+    # KeyError, and an action moving elements under the identity was used
+    zero = {0: 0, 1: 0, 2: 0}
+    for action, message in [
+        ([[0]], r"^action must be an 3x3 matrix$"),
+        ([[0, 1, 2], [1, 2, 7], [2, 0, 1]], r"^action entry 7 at \(1, 2\) is not an element$"),
+        ([[0, 1, 2], [1, 2, [0]], [2, 0, 1]], r"^action entry \[0\] at \(1, 2\) is not an element$"),
+        ([[1, 2, 0]] * 3, r"^action of the identity moves 0$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            first_violation(_C3(), zero, Law.CROSSED, action)
+    assert first_violation(_C3(), zero, Law.CROSSED, [[0, 1, 2]] * 3) is None
+
+    class AwayIdentity(_C3):
+        def identity(self):
+            return 3
+
+    with pytest.raises(ValueError, match=r"^the identity 3 is not an element$"):
+        first_violation(AwayIdentity(), zero, Law.CROSSED, [[0, 1, 2]] * 3)
+    # an unhashable image raised a bare TypeError
+    with pytest.raises(ValueError, match=r"^the image \[0\] of 1 is not an element$"):
+        first_violation(_C3(), {0: 0, 1: [0], 2: 0}, Law.ENDO)
 
 
 # Independent oracle for the laws: each predicate is written out from the
@@ -363,7 +410,7 @@ def test_action_validation_rejects_bad_matrix():
         validate_action(g, ((1, 0), (0, 1)))
 
 
-@pytest.mark.parametrize("entry", [7, "a", -1])
+@pytest.mark.parametrize("entry", [7, "a", -1, True])
 def test_action_entries_must_be_element_indices(entry):
     g = cyclic(3)
     with pytest.raises(ValueError, match=rf"action entry {entry!r} at \(a, a2\) is not an "

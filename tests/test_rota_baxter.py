@@ -3,7 +3,7 @@ from collections import defaultdict
 
 import pytest
 
-from helpers import diamond_rewrite, random_rb_word
+from helpers import diamond_rewrite, random_rb_word, record_hashes
 from opgroups import rota_baxter
 from opgroups.finite import Law, cyclic, dihedral, enumerate_operators, symmetric
 from opgroups.operated import UnassignedGeneratorError, bracket
@@ -173,6 +173,20 @@ def test_guard_error_names_budget_and_operands(monkeypatch):
                        r"than 3 distinct subproducts for operands of length 1 and 1, "
                        r"depth 3 and 3$"):
         diamond(u, u)
+
+
+def test_diamond_hashes_no_atom_and_no_word(monkeypatch):
+    # the merge memo is keyed by the identities of the bracket bodies
+    pairs = [(parse_word(s), parse_word(t)) for s, t in [
+        ("x <y <x>^-1 z>", "<<x> y> <z>^-1 x"),
+        ("<x>^-1 y <y <z>>^-1", "<<y>^-1 x>^-1 y"),
+        ("<<<x>>>", "<<<x>>>"),
+    ]]
+    calls = record_hashes(monkeypatch)
+    got = [diamond(u, v) for u, v in pairs]
+    assert calls == [] and all(r._hash is None for r in got)
+    monkeypatch.undo()
+    assert got == [diamond_rewrite(u, v) for u, v in pairs]
 
 
 def test_depth_five_square_computes_each_subproduct_once(monkeypatch):

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import power_streamed, random_diff_word, random_word
+from helpers import power_streamed, random_diff_word, random_word, record_hashes
 from opgroups import operated
 from opgroups.differential import DiffLetter, DiffWord, format_diff_word, parse_diff_word
 from opgroups.words import Atom, Word, WordSyntaxError, format_word, gen, parse_word
@@ -398,12 +398,48 @@ def _chain_by_brackets():
     _chain_by_brackets,
 ], ids=["parse_word", "operated.bracket"])
 def test_hash_of_a_never_hashed_deep_chain_does_not_recurse(build):
-    # each atom hashes its body when it is built, one level at a time, so the
-    # first hash() of the whole chain reads stored hashes only
+    # no atom of the chain is hashed when it is built; the first hash() hashes
+    # the bodies children first on an explicit stack, so it does not recurse
     w = build()
     assert w._hash is None
     assert hash(w) == hash(build()) == hash(w.atoms)
     assert w == build()
+
+
+def test_bracketed_words_are_parsed_multiplied_and_printed_with_no_hash(monkeypatch):
+    # the word core hashes an atom or a word only when a caller asks for it
+    calls = record_hashes(monkeypatch)
+    u = parse_word("<x <y <z>^-1>> y^-1 B(<x> z)^-1")
+    v = parse_word("<<x> z>^-1 y x")
+    p = u * v * v.inverse()
+    q = (v * u) ** 7
+    n = q ** -3
+    b = operated.bracket(q)
+    r = ~b
+    texts = [format_word(w) for w in (p, q, n, b, r)]
+    assert calls == []
+    assert all(w._hash is None for w in (u, v, p, q, n, b, r))
+    monkeypatch.undo()
+    assert p == u and q == power_streamed(v * u, 7) and n == power_streamed(v * u, -21)
+    assert [parse_word(t) for t in texts] == [p, q, n, b, r]
+    assert r == bracket(q, -1)
+
+
+@pytest.mark.parametrize("hashed", ["left", "right", "both"])
+@pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
+def test_atoms_whose_bodies_were_hashed_on_one_side_compare_alike(hashed, equal):
+    # an inner atom hashed and its enclosing atoms not: Atom.__eq__ compares
+    # a stored hash with an unset one, or two stored ones, at every level
+    u = parse_word("<x <y <z>^-1> x^-1> y")
+    v = parse_word("<x <y <z>^-1> x^-1> y" if equal else "<x <y <z>> x^-1> y")
+    for w in ((u,) if hashed == "left" else (v,) if hashed == "right" else (u, v)):
+        hash(w.atoms[0].base.atoms[1])  # <y <z>^-1> or <y <z>>
+    a, b = u.atoms[0], v.atoms[0]
+    assert a._hash is None and b._hash is None and u._hash is None and v._hash is None
+    assert (a == b) is (b == a) is (u == v) is (v == u) is equal
+    assert (b in {a: "a"}) is (a in {b: "b"}) is (v in {u: "u"}) is equal
+    if equal:
+        assert hash(a) == hash(b) and hash(u) == hash(v)
 
 
 def _pairs_built_apart():
