@@ -50,12 +50,11 @@ __all__ = [
 class DiffLetter:
     """A signed derived letter: generator symbol, derivative order, sign.
 
-    Unlike an :class:`~opgroups.words.Atom`, a letter stores its hash when
-    it is built, while a :class:`DiffWord` hashes its letters only on first
-    use.  A letter holds no word, so its hash cannot recurse.
+    Like an :class:`~opgroups.words.Atom`, a letter stores no hash: it hashes
+    its three fields on each call.  Only a :class:`DiffWord` keeps its hash.
     """
 
-    __slots__ = ("symbol", "order", "sign", "_hash")
+    __slots__ = ("symbol", "order", "sign")
 
     def __init__(self, symbol: str, order: int = 0, sign: int = 1):
         if not isinstance(symbol, str):
@@ -71,7 +70,6 @@ class DiffLetter:
         self.symbol = symbol
         self.order = order
         self.sign = sign
-        self._hash = hash((symbol, order, sign))
 
     @classmethod
     def _make(cls, symbol: str, order: int, sign: int) -> "DiffLetter":
@@ -79,7 +77,6 @@ class DiffLetter:
         # matched by _IDENT_RE, an int order >= 0 and a sign of +1 or -1
         a = cls.__new__(cls)
         a.symbol, a.order, a.sign = symbol, order, sign
-        a._hash = hash((symbol, order, sign))
         return a
 
     def inverse(self) -> "DiffLetter":
@@ -96,7 +93,7 @@ class DiffLetter:
                 and self.sign == other.sign)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.symbol, self.order, self.sign))
 
     def __repr__(self) -> str:
         return _format_letter(self)
@@ -104,8 +101,8 @@ class DiffLetter:
 
 class DiffWord(ReducedWord):
     """A reduced word in derived letters, kept in ``atoms``; ``DiffWord()``
-    is the identity.  Its evaluation plan (:meth:`_make_plan`) is cached on
-    first use; it depends only on the letters, which never change."""
+    is the identity.  Its hash and evaluation plan (:meth:`_make_plan`) are
+    cached on first use; both depend only on the letters, which never change."""
 
     __slots__ = ()
 

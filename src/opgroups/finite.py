@@ -201,12 +201,18 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     """
     law = Law(law)
     elems = list(group.iter_elements())
-    pos = {x: i for i, x in enumerate(elems)}
-    ims = [_position(pos, images[x]) for x in elems]
+    finite = isinstance(group, FiniteGroup)
+    if finite:
+        # an image is an index: a bool or 1.0 equals one, but names no element
+        n = len(elems)
+        ims = [y if _is_index(y, n) else None for y in map(images.__getitem__, elems)]
+    else:
+        pos = {x: i for i, x in enumerate(elems)}
+        ims = [_position(pos, images[x]) for x in elems]
     if None in ims:
         x = elems[ims.index(None)]
         raise ValueError(f"the image {images[x]!r} of {x!r} is not an element")
-    if isinstance(group, FiniteGroup):
+    if finite:
         rows, inv = group._table, group._inv
         if law is Law.CROSSED and action is not None:
             action = _checked_action(group, action)
@@ -288,21 +294,20 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
 class LawTarget(OperatedTarget):
     """An operated target whose ``op`` satisfies the subclass's ``law`` (named
     ``rule`` in errors), checked by :func:`first_violation` on a table of
-    ``op`` over ``group.iter_elements()`` unless ``trusted=True`` attests it."""
+    ``op`` over ``group.iter_elements()``.  Into a carrier that cannot be
+    enumerated, evaluate through an unchecked :class:`OperatedTarget`."""
 
     law: Law
     rule: str
 
-    def __init__(self, group, op: Callable, *, trusted: bool = False):
+    def __init__(self, group, op: Callable):
         super().__init__(group, op)
-        if trusted:
-            return
         try:
             elems = group.iter_elements()
         except AttributeError:
             raise ValueError(
                 f"cannot enumerate the carrier to validate {self.rule}; "
-                "pass trusted=True to attest it") from None
+                "an OperatedTarget evaluates into it unchecked") from None
         bad = first_violation(group, {a: op(a) for a in elems}, self.law)
         if bad is not None:
             raise ValueError(f"{self.rule} fails at the pair ({bad[0]!r}, {bad[1]!r})")
@@ -394,9 +399,13 @@ def enumerate_operators(group: FiniteGroup, law: Law,
 def convert_weight(op: Sequence[int], group: FiniteGroup) -> tuple[int, ...]:
     """g -> P(g^-1): swaps a weight +1 Rota-Baxter operator with a weight -1
     one; applying it twice gives back the original map."""
-    if len(op) != len(group):
-        raise ValueError(f"operator must have {len(group)} images, got {len(op)}")
-    return tuple(op[group.inv(i)] for i in group.iter_elements())
+    n = len(group)
+    if len(op) != n:
+        raise ValueError(f"operator must have {n} images, got {len(op)}")
+    for i, x in enumerate(op):
+        if not _is_index(x, n):
+            raise ValueError(f"the image {x!r} of {i!r} is not an element")
+    return tuple(map(op.__getitem__, group._inv))
 
 
 def _as_index_set(group: FiniteGroup, members: Iterable) -> set[int]:

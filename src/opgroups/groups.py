@@ -17,6 +17,14 @@ class GroupTableError(ValueError):
     """The raw table fails one of the group axioms (the message says which)."""
 
 
+def _check_names(names: Sequence) -> None:
+    # strings first, so that no unhashable name reaches the set
+    if any(not isinstance(s, str) or not s for s in names):
+        raise GroupTableError("element names must be nonempty strings")
+    if len(set(names)) != len(names):
+        raise GroupTableError("element names are not unique")
+
+
 def _is_index(x, n: int) -> bool:
     # an element index of a group of order n; a bool is an int, but names no element
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
@@ -39,10 +47,7 @@ class FiniteGroup:
             raise GroupTableError("empty table")
         if n > ORDER_BOUND:
             raise GroupTableError(f"group order {n} exceeds the checking bound {ORDER_BOUND}")
-        if len(set(names)) != n:
-            raise GroupTableError("element names are not unique")
-        if any(not isinstance(s, str) or not s for s in names):
-            raise GroupTableError("element names must be nonempty strings")
+        _check_names(names)
         rows = tuple(tuple(row) for row in table)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GroupTableError(f"table is not {n}x{n}")
@@ -121,16 +126,17 @@ class FiniteGroup:
 def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> FiniteGroup:
     """Build a FiniteGroup from a table of element *names*, checking all axioms."""
     names = list(elements)
+    _check_names(names)
     pos = {s: i for i, s in enumerate(names)}
-    if len(pos) != len(names):
-        raise GroupTableError("element names are not unique")
     rows = []
     for row in table:
         out = []
         for entry in row:
-            if entry not in pos:
-                raise GroupTableError(f"table is not closed: {entry!r} is not a declared element")
-            out.append(pos[entry])
+            try:
+                out.append(pos[entry])
+            except (KeyError, TypeError):  # an unhashable entry names no element either
+                raise GroupTableError(
+                    f"table is not closed: {entry!r} is not a declared element") from None
         rows.append(out)
     return FiniteGroup(names, rows)
 

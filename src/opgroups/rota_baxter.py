@@ -39,14 +39,14 @@ of the empty word collapses to the identity here: :func:`rb_bracket` maps 1
 to 1, merges whose body comes out empty drop the bracket, and words
 containing an empty bracket body are rejected as Rota-Baxter words.
 
-Known limitation: this word model does not quite realize a group.  The local
-merge rules are not confluent, so the product fails associativity on rare
-configurations in which a merged bracket later meets an exact inverse of one
-of its ingredients (roughly 2 to 3 per 1000 random triples of depth 3; see
-``tests/test_rota_baxter.py`` for a pinned minimal example).  Evaluation
-into any honest Rota-Baxter group is nevertheless a homomorphism for every
-product this module computes, because every local rule is an identity of
-Rota-Baxter groups.
+Known limitation: this word model does not realize a group.  No merge rule
+applies where a positive and a negative bracket meet, so the rules are not
+confluent.  Over the Rota-Baxter words in x and y of size at most 2 (atoms
+counted at every nesting level), cancellation ``(u ⋄ v) ⋄ v^-1 = u`` fails
+on about 5% of the pairs, and at size at most 3 on 12%; see the census in
+``tests/test_rota_baxter.py``.  Evaluation into any honest Rota-Baxter group
+is nevertheless a homomorphism for every product this module computes,
+because every local rule is an identity of Rota-Baxter groups.
 """
 
 from __future__ import annotations

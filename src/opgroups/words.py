@@ -84,14 +84,13 @@ def _join(a: tuple, b: tuple) -> tuple:
 class Atom:
     """One letter of a word: a generator name or a bracketed word, with a sign.
 
-    An atom hashes ``(base, sign)`` on the first ``hash()`` and keeps the
-    result in ``_hash``, None until then: most atoms of a product, a power or
-    a parsed text are never hashed.  The first hash of a bracket atom hashes
-    the unhashed bodies below it children first, on an explicit stack, so a
-    chain nested thousands deep hashes with no recursion.
+    An atom stores no hash: it hashes ``(base, sign)`` on each call, which
+    reads the stored hash of a bracket body.  A body not yet hashed is hashed
+    first, with the unhashed bodies below it children first on an explicit
+    stack, so a chain nested thousands deep hashes with no recursion.
     """
 
-    __slots__ = ("base", "sign", "_hash")
+    __slots__ = ("base", "sign")
 
     def __init__(self, base: Union[str, "Word"], sign: int = 1):
         if isinstance(sign, bool) or sign not in (1, -1):
@@ -103,7 +102,6 @@ class Atom:
             raise TypeError(f"atom base must be a generator name or a Word, got {type(base)!r}")
         self.base = base
         self.sign = sign
-        self._hash = None
 
     @property
     def is_bracket(self) -> bool:
@@ -128,7 +126,7 @@ class Atom:
         # trusted constructor for parts already known to be valid: a name
         # matched by _IDENT_RE or a Word, and a sign of +1 or -1
         a = cls.__new__(cls)
-        a.base, a.sign, a._hash = base, sign, None
+        a.base, a.sign = base, sign
         return a
 
     def inverse(self) -> "Atom":
@@ -152,29 +150,23 @@ class Atom:
             a, b = stack.pop()
             if a is b:
                 continue
-            # two stored hashes that differ decide at once; an unset one decides nothing
-            h, k = a._hash, b._hash
-            if (h is not None and k is not None and h != k) or a.sign != b.sign:
+            if a.sign != b.sign:
                 return False
             u, v = a.base, b.base
             if isinstance(u, str) or isinstance(v, str):
                 if u != v:
                     return False
             elif u is not v:
-                h, k = u._hash, v._hash
-                if (h is not None and k is not None and h != k) or len(u.atoms) != len(v.atoms):
+                if len(u.atoms) != len(v.atoms):
                     return False
                 stack.extend(zip(u.atoms, v.atoms))
         return True
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            base = self.base
-            if not isinstance(base, str) and base._hash is None:
-                _hash_bodies(base)
-            h = self._hash = hash((base, self.sign))
-        return h
+        base = self.base
+        if not isinstance(base, str) and base._hash is None:
+            _hash_bodies(base)
+        return hash((base, self.sign))
 
     def __repr__(self) -> str:
         return format_word(Word._reduced((self,)))
@@ -197,10 +189,9 @@ class ReducedWord:
 
     A word hashes its atoms on the first ``hash()`` and keeps the result in
     ``_hash``, None until then: most intermediate words of a product or a
-    derivation are never hashed.  Hashing a word of atoms cannot recurse: the
-    first hash of an :class:`Atom` hashes the unhashed bodies below it
-    children first, so each body's hash only reads its atoms' stored hashes,
-    however deep they nest.
+    derivation are never hashed.  No letter stores a hash, and equality reads
+    none.  Hashing cannot recurse: an :class:`Atom` hashes the unhashed bodies
+    below it children first, so each body's hash reads stored hashes only.
     """
 
     __slots__ = ("atoms", "_hash", "_cached_plan")
@@ -263,11 +254,7 @@ class ReducedWord:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self is other:
-            return True
-        h, k = self._hash, other._hash
-        # two cached hashes that differ decide at once; else compare atoms
-        return (h is None or k is None or h == k) and self.atoms == other.atoms
+        return self is other or self.atoms == other.atoms
 
     def __hash__(self) -> int:
         h = self._hash
@@ -283,9 +270,8 @@ class Word(ReducedWord):
     evaluation plan (see :meth:`_make_plan`) and, for
     :mod:`opgroups.rota_baxter`, why it is not a Rota-Baxter word (None if
     it is one).  All three depend only on the atoms, which never change, so
-    a cached value is the value a fresh computation would give.  Atoms
-    hash on first use too, children first, so the first hash of a word
-    2,000 brackets deep does not recurse.
+    a cached value is the value a fresh computation would give.  Its atoms
+    cache nothing.
     """
 
     __slots__ = ("_rb_violation",)

@@ -4,6 +4,7 @@ powers and the operator search."""
 
 from __future__ import annotations
 
+import builtins
 import random
 from itertools import chain, repeat
 from typing import Optional
@@ -64,6 +65,21 @@ def _random_atom(rng, max_depth, max_breadth, alphabet, *, rb: bool) -> Atom:
     return Atom(body, sign)
 
 
+def rb_words(alphabet, size: int) -> list[Word]:
+    """Every reduced Rota-Baxter word over ``alphabet`` of size at most
+    ``size``, by size, the identity first.  The size of a word counts its
+    atoms at every nesting level, so ``<x>`` has size 2 and ``<x> y`` size 3."""
+    atoms = {1: [Atom(g, s) for g in alphabet for s in (1, -1)]}  # by size
+    words: dict = {0: [()]}  # the atom tuples of the words, by size
+    for n in range(1, size + 1):
+        if n > 1:
+            atoms[n] = [Atom(Word(body), s) for body in words[n - 1] for s in (1, -1)]
+        words[n] = [w + (a,) for k in range(1, n + 1) for w in words[n - k] for a in atoms[k]
+                    if not w or not (w[-1].cancels(a) or w[-1].is_bracket and a.is_bracket
+                                     and w[-1].sign == a.sign)]
+    return [Word(w) for n in range(size + 1) for w in words[n]]
+
+
 def random_diff_word(rng: random.Random, *, max_len: int = 6, max_order: int = 2,
                      alphabet=ALPHABET) -> DiffWord:
     """A random reduced word in derived letters."""
@@ -109,14 +125,20 @@ def power_streamed(w, n: int):
 
 
 def record_hashes(monkeypatch) -> list:
-    """A list that collects every atom and word hashed until
-    ``monkeypatch.undo()``."""
+    """A list that collects every atom, derived letter and word hashed, and
+    every argument of the builtin ``hash``, until ``monkeypatch.undo()``: a
+    direct call of ``hash`` is seen as well as a hash through ``__hash__``."""
     calls: list = []
-    for cls in (Atom, ReducedWord):
-        def counting(obj, hash_of=cls.__hash__):
+
+    def counting(hash_of):
+        def count(obj):
             calls.append(obj)
             return hash_of(obj)
-        monkeypatch.setattr(cls, "__hash__", counting)
+        return count
+
+    for cls in (Atom, DiffLetter, ReducedWord):
+        monkeypatch.setattr(cls, "__hash__", counting(cls.__hash__))
+    monkeypatch.setattr(builtins, "hash", counting(builtins.hash))
     return calls
 
 

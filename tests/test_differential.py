@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import derive_recursive, random_diff_word
+from helpers import derive_recursive, random_diff_word, record_hashes
 from opgroups.differential import (
     DiffLetter,
     DiffTarget,
@@ -20,7 +20,7 @@ from opgroups.differential import (
     shift_orders,
 )
 from opgroups.finite import Law, constant_operator, cyclic, enumerate_operators, symmetric
-from opgroups.operated import UnassignedGeneratorError
+from opgroups.operated import OperatedTarget, UnassignedGeneratorError
 from opgroups.words import WordSyntaxError
 
 x0 = diff_gen("x")
@@ -124,15 +124,9 @@ def test_derive_power_length_triples():
 
 
 def test_derive_power_hashes_no_letter(monkeypatch):
-    calls = []
-    letter_hash = DiffLetter.__hash__
-
-    def counting(a):
-        calls.append(a)
-        return letter_hash(a)
-
+    # neither through DiffLetter.__hash__ nor by a direct call of hash()
     w = parse_diff_word("x y.1^-1 z.2 x^-1 y")
-    monkeypatch.setattr(DiffLetter, "__hash__", counting)
+    calls = record_hashes(monkeypatch)
     got = derive_power(w, 4)
     assert calls == [] and got._hash is None
     monkeypatch.undo()
@@ -237,7 +231,7 @@ def test_difftarget_rejects_bad_operator():
         DiffTarget(g, lambda i: i)  # identity map is not a derivation on S3
 
 
-def test_difftarget_requires_enumerable_carrier_unless_trusted():
+def test_difftarget_requires_enumerable_carrier():
     class Procedural:
         def identity(self):
             return 0
@@ -248,9 +242,13 @@ def test_difftarget_requires_enumerable_carrier_unless_trusted():
         def inv(self, a):
             return (-a) % 5
 
-    with pytest.raises(ValueError, match="trusted"):
+    with pytest.raises(ValueError, match=r"^cannot enumerate the carrier to validate the "
+                       r"weight-1 differential product rule; an OperatedTarget evaluates "
+                       r"into it unchecked$"):
         DiffTarget(Procedural(), lambda a: 0)
-    DiffTarget(Procedural(), lambda a: 0, trusted=True)
+    # the evaluator takes an unchecked OperatedTarget into such a carrier
+    assert evaluate(parse_diff_word("x.1 y"), {"x": 1, "y": 2},
+                    OperatedTarget(Procedural(), lambda a: 3)) == 0
 
 
 def test_eval_letter_iterates_operator():

@@ -85,6 +85,17 @@ def test_validate_rejects_duplicate_names():
 def test_validate_rejects_unknown_entries():
     with pytest.raises(GroupTableError, match="closed"):
         validate_group(["e", "a"], [["e", "a"], ["a", "b"]])
+    # an unhashable entry is not a bare TypeError
+    with pytest.raises(GroupTableError, match=r"^table is not closed: \['e'\] is not a "
+                       r"declared element$"):
+        validate_group(["e"], [[["e"]]])
+
+
+@pytest.mark.parametrize("name", [["e"], "", 0], ids=["unhashable", "empty", "int"])
+def test_element_names_must_be_nonempty_strings(name):
+    for make in (lambda: FiniteGroup([name], [[0]]), lambda: validate_group([name], [[name]])):
+        with pytest.raises(GroupTableError, match="^element names must be nonempty strings$"):
+            make()
 
 
 def test_a_group_table_refuses_bool_entries():
@@ -361,6 +372,18 @@ def test_images_outside_the_carrier_are_rejected():
     for target in (DiffTarget, RBTarget):
         with pytest.raises(ValueError, match="not an element"):
             target(g, lambda i: None)
+    # a bool or a float equals an index, but names no element
+    c2 = cyclic(2)
+    for op, bad in [((False, True), "False of 0"), ((0.0, 1.0), "0.0 of 0"),
+                    ((0, True), "True of 1")]:
+        with pytest.raises(ValueError, match=f"^the image {bad} is not an element$"):
+            check_identity(c2, op, Law.ENDO)
+    for target in (DiffTarget, RBTarget):
+        with pytest.raises(ValueError, match="^the image False of 0 is not an element$"):
+            target(c2, (False, False).__getitem__)
+    for op, bad in [((0, 5), "5 of 1"), ((0, True), "True of 1"), ((0.0, 1), "0.0 of 0")]:
+        with pytest.raises(ValueError, match=f"^the image {bad} is not an element$"):
+            convert_weight(op, c2)
 
 
 def test_a_carrier_that_is_not_closed_is_named():

@@ -3,10 +3,10 @@ from collections import defaultdict
 
 import pytest
 
-from helpers import diamond_rewrite, random_rb_word, record_hashes
+from helpers import diamond_rewrite, random_rb_word, rb_words, record_hashes
 from opgroups import rota_baxter
 from opgroups.finite import Law, cyclic, dihedral, enumerate_operators, symmetric
-from opgroups.operated import UnassignedGeneratorError, bracket
+from opgroups.operated import OperatedTarget, UnassignedGeneratorError, bracket
 from opgroups.rota_baxter import (
     DiamondLimitError,
     RBTarget,
@@ -281,8 +281,9 @@ def test_weight_minus_one_conversion_on_free_object():
 #
 # The merge rules are not confluent: a negative bracket absorbs an adjacent
 # positive bracket in no rule, yet group structure would force
-# B(a)^-1 B(b) = B(B(a)^-1 a^-1 b B(a)).  The minimal consequence is pinned
-# here so the behaviour is documented and stable.
+# B(a)^-1 B(b) = B(B(a)^-1 a^-1 b B(a)).  A census counts the failures of the
+# group laws over every small word, and the smallest witnesses are pinned, so
+# the behaviour is documented and stable.
 
 def test_known_nonassociative_triple():
     u = rb_inverse(bracket(x))
@@ -293,6 +294,29 @@ def test_known_nonassociative_triple():
     assert left == bracket(y)
     assert right == parse_word("<x>^-1 <x <x> y <x>^-1>")
     assert left != right  # the word model is not a group on this triple
+
+
+def test_census_of_group_law_failures_at_size_two():
+    # every reduced RB word over {x, y} of size <= 2; a random sampler
+    # rarely puts brackets on both sides of a seam, so it under-counts
+    words = rb_words(("x", "y"), 2)
+    assert len(words) == len(set(words)) == 25
+    assert all(is_rb_word(w) for w in words)
+    products = {(u, v): diamond(u, v) for u in words for v in words}
+    assert sum(diamond(products[u, v], w) != diamond(u, products[v, w])
+               for u in words for v in words for w in words) == 192
+    inverses = [(v, rb_inverse(v)) for v in words]
+    assert sum(diamond(products[u, v], vi) != u for u in words for v, vi in inverses) == 32
+    assert sum(diamond(vi, products[v, u]) != u for u in words for v, vi in inverses) == 32
+
+
+def test_smallest_witness_the_cube_of_a_bracket_depends_on_its_bracketing():
+    # three factors of size 2, the smallest size at which a law fails
+    b = bracket(x)
+    left = diamond(diamond(b, b), rb_inverse(b))
+    right = diamond(b, diamond(b, rb_inverse(b)))
+    assert left == parse_word("<x <x> x <x>^-1> <x>^-1")
+    assert right == b
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -312,7 +336,7 @@ def test_rbtarget_rejects_bad_operator():
         RBTarget(g, lambda i: bad[i])
 
 
-def test_rbtarget_requires_enumerable_carrier_unless_trusted():
+def test_rbtarget_requires_enumerable_carrier():
     class Procedural:
         def identity(self):
             return 0
@@ -323,9 +347,13 @@ def test_rbtarget_requires_enumerable_carrier_unless_trusted():
         def inv(self, a):
             return (-a) % 7
 
-    with pytest.raises(ValueError, match="trusted"):
+    with pytest.raises(ValueError, match=r"^cannot enumerate the carrier to validate the "
+                       r"weight-1 Rota-Baxter relation; an OperatedTarget evaluates "
+                       r"into it unchecked$"):
         RBTarget(Procedural(), lambda a: 0)
-    RBTarget(Procedural(), lambda a: 0, trusted=True)
+    # the evaluator takes an unchecked OperatedTarget into such a carrier
+    assert evaluate(parse_word("<x> y"), {"x": 1, "y": 2},
+                    OperatedTarget(Procedural(), lambda a: 3)) == 5
 
 
 def test_eval_examples():

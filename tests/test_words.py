@@ -428,18 +428,29 @@ def test_bracketed_words_are_parsed_multiplied_and_printed_with_no_hash(monkeypa
 @pytest.mark.parametrize("hashed", ["left", "right", "both"])
 @pytest.mark.parametrize("equal", [True, False], ids=["equal", "unequal"])
 def test_atoms_whose_bodies_were_hashed_on_one_side_compare_alike(hashed, equal):
-    # an inner atom hashed and its enclosing atoms not: Atom.__eq__ compares
-    # a stored hash with an unset one, or two stored ones, at every level
+    # an inner body hashed and the bodies around it not: equality reads no
+    # stored hash, so it agrees with hashing whichever bodies were hashed
     u = parse_word("<x <y <z>^-1> x^-1> y")
     v = parse_word("<x <y <z>^-1> x^-1> y" if equal else "<x <y <z>> x^-1> y")
     for w in ((u,) if hashed == "left" else (v,) if hashed == "right" else (u, v)):
         hash(w.atoms[0].base.atoms[1])  # <y <z>^-1> or <y <z>>
     a, b = u.atoms[0], v.atoms[0]
-    assert a._hash is None and b._hash is None and u._hash is None and v._hash is None
+    assert u._hash is None and v._hash is None
     assert (a == b) is (b == a) is (u == v) is (v == u) is equal
     assert (b in {a: "a"}) is (a in {b: "b"}) is (v in {u: "u"}) is equal
     if equal:
         assert hash(a) == hash(b) and hash(u) == hash(v)
+
+
+def test_hashes_are_those_of_the_fields():
+    # a letter hashes its fields on each call, and a word its letters
+    w = parse_word("<x <y>^-1> z^-1")
+    d = parse_diff_word("x.2 y^-1")
+    for a in w.atoms:
+        assert hash(a) == hash((a.base, a.sign))
+    for a in d.atoms:
+        assert hash(a) == hash((a.symbol, a.order, a.sign))
+    assert hash(w) == hash(w.atoms) and hash(d) == hash(d.atoms)
 
 
 def _pairs_built_apart():
