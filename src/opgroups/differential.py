@@ -11,10 +11,12 @@ which :func:`derive` computes, reduced at one seam; the recursive rule is
 the tests' oracle.
 
 :class:`DiffWord` is the word core :class:`~opgroups.words.ReducedWord` over
-:class:`DiffLetter` letters.  Also here: the closed formulas for a product of
-words and for an inverse power, the order shift, and the evaluator into a
-group with a validated weight-1 differential operator, which runs the loop
-:func:`opgroups.operated.multiply_images` over the images of the ``x.n``.
+:class:`DiffLetter` letters.  As in the paper, the free differential group is
+an operated group: its evaluation plan reads ``x.n`` as ``x`` inside n
+brackets, so :func:`opgroups.operated.evaluate` evaluates it into a group
+with a validated weight-1 differential operator.  Also here: the closed
+formulas for a product of words and for an inverse power, and the order
+shift.
 
 Text syntax: ``x.n`` is the n-th derived letter, ``x`` abbreviates ``x.0``,
 inverses are written ``x.n^-1``; letters are whitespace separated and ``1``
@@ -27,8 +29,8 @@ import re
 from itertools import chain
 from typing import Mapping, Sequence
 
+from . import operated
 from .finite import Law, LawTarget
-from .operated import UnassignedGeneratorError, multiply_images
 from .words import _IDENT_RE, ReducedWord, WordSyntaxError, _join
 
 __all__ = [
@@ -107,22 +109,25 @@ class DiffWord(ReducedWord):
     __slots__ = ()
 
     def _make_plan(self) -> tuple:
-        """``(chains, steps)``: how to evaluate the word.  ``chains`` lists
-        ``(symbol, top)`` for each symbol, in the order of its first letter,
-        with ``top`` its highest order; its slots are its orders ``0..top``,
-        symbol after symbol.  ``steps`` is one ``(slot, sign)`` per letter."""
+        """The plan of :meth:`~opgroups.words.ReducedWord._plan`, with ``x.n``
+        read as ``x`` inside n brackets: ``names`` are the symbols in the
+        order of their first letters, and each order 1..top of a symbol is a
+        one-step body on the slot of the order below."""
         tops: dict[str, int] = {}
         for a in self.atoms:
             if a.order > tops.get(a.symbol, -1):
                 tops[a.symbol] = a.order
-        first, offset = {}, 0  # the slot of each symbol's order 0
-        for symbol, top in tops.items():
-            first[symbol] = offset
-            offset += top + 1
+        slots = {(s, 0): i for i, s in enumerate(tops)}  # (symbol, order) -> slot
         shared: dict = {}  # one tuple per distinct step
-        steps = tuple(shared.setdefault(s, s) for s in
-                      ((first[a.symbol] + a.order, a.sign) for a in self.atoms))
-        return tuple(tops.items()), steps
+        bodies = []
+        for s, top in tops.items():
+            for n in range(1, top + 1):
+                step = (slots[s, n - 1], 1)
+                bodies.append((shared.setdefault(step, step),))
+                slots[s, n] = len(slots)
+        steps = tuple(shared.setdefault(t, t) for t in
+                      ((slots[a.symbol, a.order], a.sign) for a in self.atoms))
+        return tuple(tops), tuple(bodies), steps
 
     def __repr__(self) -> str:
         return format_diff_word(self)
@@ -207,23 +212,9 @@ class DiffTarget(LawTarget):
 
 def evaluate(w: DiffWord, assignment: Mapping[str, object], target: DiffTarget):
     """Image of ``w`` under the homomorphism sending x.n to the n-th
-    derivative of the element assigned to x.  The slots of the word's cached
-    plan are each symbol's chain ``g, d(g), d(d(g)), ...``, extended
-    iteratively up to the highest order the word uses; the plan depends only
-    on the word, so every call computes its chains afresh."""
-    chains, steps = w._plan()
-    d = target.op
-    values = []  # the image of each slot of the plan
-    for symbol, top in chains:
-        try:
-            v = assignment[symbol]
-        except KeyError:
-            raise UnassignedGeneratorError(symbol) from None
-        values.append(v)
-        for _ in range(top):
-            v = d(v)
-            values.append(v)
-    return multiply_images(steps, target.group, values)
+    derivative of the element assigned to x: the operated evaluation of x.n
+    as x inside n brackets, so each order of a symbol is derived once."""
+    return operated.evaluate(w, assignment, target)
 
 
 # --- text form ---------------------------------------------------------------

@@ -13,9 +13,10 @@ operator map is a length-n tuple of image indices.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .groups import (FiniteGroup, GroupTableError, _is_index, alternating, cyclic, dihedral,
                      klein_four, quaternion, symmetric, validate_group)
@@ -186,8 +187,8 @@ def _pair_rule(rows, inv, law: Law, action) -> Callable:
 def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     """The first pair ``(a, b)``, in ``group.iter_elements()`` order, at which
     ``x -> images[x]`` breaks ``law``, or None.  ``images`` is a dict or, for
-    a :class:`FiniteGroup`, a tuple; an image outside the carrier raises
-    ValueError.
+    a :class:`FiniteGroup`, a tuple; a tuple of the wrong length, a dict with
+    no image of an element and an image outside the carrier raise ValueError.
 
     Each pair is tested by the law's pair rule (the one the operator search
     uses), on the Cayley table of a :class:`FiniteGroup` or, for any other
@@ -201,17 +202,23 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     """
     law = Law(law)
     elems = list(group.iter_elements())
+    if not isinstance(images, Mapping) and len(images) != len(elems):
+        raise ValueError(f"operator must have {len(elems)} images, got {len(images)}")
+    try:
+        ys = [images[x] for x in elems]
+    except KeyError as e:
+        raise ValueError(f"the operator has no image of {e.args[0]!r}") from None
     finite = isinstance(group, FiniteGroup)
     if finite:
         # an image is an index: a bool or 1.0 equals one, but names no element
         n = len(elems)
-        ims = [y if _is_index(y, n) else None for y in map(images.__getitem__, elems)]
+        ims = [y if _is_index(y, n) else None for y in ys]
     else:
         pos = {x: i for i, x in enumerate(elems)}
-        ims = [_position(pos, images[x]) for x in elems]
+        ims = [_position(pos, y) for y in ys]
     if None in ims:
-        x = elems[ims.index(None)]
-        raise ValueError(f"the image {images[x]!r} of {x!r} is not an element")
+        i = ims.index(None)
+        raise ValueError(f"the image {ys[i]!r} of {elems[i]!r} is not an element")
     if finite:
         rows, inv = group._table, group._inv
         if law is Law.CROSSED and action is not None:
@@ -283,10 +290,8 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
 
     Returns None when the law holds everywhere, else the first violating
     pair of element names in element order.  :func:`first_violation`
-    validates the action of the crossed law.
+    checks the images and validates the action of the crossed law.
     """
-    if len(op) != len(group):
-        raise ValueError(f"operator must have {len(group)} images, got {len(op)}")
     bad = first_violation(group, op, law, action)
     return None if bad is None else (group.name(bad[0]), group.name(bad[1]))
 

@@ -116,7 +116,7 @@ class FiniteGroup:
     def index(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable name is no name
             raise ValueError(f"unknown element name {name!r}") from None
 
     def name(self, i: int) -> str:

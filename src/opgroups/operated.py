@@ -8,16 +8,16 @@ assignment: generators go to their assigned elements, concatenation to the
 carrier product, and a bracket to ``op`` applied to the evaluated body.
 
 The free differential and Rota-Baxter groups are operated groups with a law,
-so every evaluator runs :func:`multiply_images`, the one loop over the steps
-of a word's evaluation plan; each theory supplies only the images of the
-plan's slots.
+so :func:`evaluate` is the one evaluator of all three theories: it runs a
+word's evaluation plan, which a Rota-Baxter word builds from its brackets and
+a derived-letter word by reading ``x.n`` as ``x`` inside n brackets.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .words import Atom, Word
+from .words import Atom, ReducedWord, Word
 
 __all__ = [
     "OperatedTarget",
@@ -66,14 +66,16 @@ def multiply_images(steps, group, values):
     return acc
 
 
-def evaluate(w: Word, assignment: Mapping[str, object], target: OperatedTarget):
+def evaluate(w: ReducedWord, assignment: Mapping[str, object], target: OperatedTarget):
     """Image of ``w`` under the homomorphism sending each generator to its
     assigned carrier element and each bracket to ``target.op`` of its body.
 
-    Runs the word's cached plan (``Word._make_plan``): the plan depends only
-    on the word and the images only on this call's assignment and target, so
-    every call computes its images afresh.  Each distinct body is valued and
-    sent through ``op`` once, before every word that encloses it.
+    ``w`` is a :class:`Word` or a ``differential.DiffWord``, whose ``x.n``
+    is ``x`` inside n brackets.  Runs the word's cached plan
+    (:meth:`ReducedWord._plan`): the plan depends only on the word and the
+    images only on this call's assignment and target, so every call computes
+    its images afresh.  Each distinct body is valued and sent through ``op``
+    once, before every word that encloses it.
     """
     names, bodies, steps = w._plan()
     values = []  # the image of each slot of the plan

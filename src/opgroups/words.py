@@ -1,9 +1,11 @@
 """Reduced group words: the core shared by every theory, and bracketed words.
 
 :class:`ReducedWord` owns free reduction, the product, inverse, power,
-equality and hashing over any letter type with ``cancels`` and ``inverse``.
-:class:`Word` adds bracket depth, breadth and its printer;
-``differential.DiffWord`` adds only its printer.
+equality, hashing and the cached evaluation plan over any letter type with
+``cancels`` and ``inverse``.  Each subclass builds its plan in the one format
+of :meth:`ReducedWord._plan`: :class:`Word` from its brackets, and
+``differential.DiffWord`` by reading a derived letter ``x.n`` as ``x`` inside
+n brackets.  :class:`Word` adds bracket depth, breadth and its printer.
 
 A :class:`Word` is a finite sequence of atoms, each atom being a signed
 generator or a signed bracket ``<...>`` enclosing another word.  Words are
@@ -86,8 +88,9 @@ class Atom:
 
     An atom stores no hash: it hashes ``(base, sign)`` on each call, which
     reads the stored hash of a bracket body.  A body not yet hashed is hashed
-    first, with the unhashed bodies below it children first on an explicit
-    stack, so a chain nested thousands deep hashes with no recursion.
+    first, after the unhashed bodies below it in the order of
+    :func:`_children_first`, which walks only those, on an explicit stack: so
+    a chain nested thousands deep hashes with no recursion.
     """
 
     __slots__ = ("base", "sign")
@@ -165,7 +168,9 @@ class Atom:
     def __hash__(self) -> int:
         base = self.base
         if not isinstance(base, str) and base._hash is None:
-            _hash_bodies(base)
+            # each listed body contains only hashed bodies when its turn comes
+            for u in _children_first(base, lambda b: b._hash is not None):
+                hash(u)
         return hash((base, self.sign))
 
     def __repr__(self) -> str:
@@ -209,8 +214,18 @@ class ReducedWord:
         return w
 
     def _plan(self) -> tuple:
-        # the evaluation plan of the subclass's _make_plan, built on first use;
-        # a word never changes, so neither does its plan
+        """``(names, bodies, steps)``: how to evaluate the word, from the
+        subclass's ``_make_plan`` on first use; a word never changes, so
+        neither does its plan.
+
+        ``names`` are its generator names in the order an evaluation meets
+        them; ``bodies`` are its distinct bracket bodies, each after every
+        body it contains, and ``steps`` the word's own letters.  A body or
+        the word is a tuple of ``(slot, sign)`` steps, one per letter: slot
+        ``i`` is ``names[i]`` for ``i < len(names)`` and else the bracket of
+        ``bodies[i - len(names)]``.  Equal steps are one tuple.  The plan
+        holds only names and ints, so it refers to no word object.
+        """
         try:
             return self._cached_plan
         except AttributeError:
@@ -267,7 +282,7 @@ class Word(ReducedWord):
     """A reduced sequence of atoms.  ``Word()`` is the group identity.
 
     A word caches three things it computes on first use: its hash, its
-    evaluation plan (see :meth:`_make_plan`) and, for
+    evaluation plan (see :meth:`ReducedWord._plan`) and, for
     :mod:`opgroups.rota_baxter`, why it is not a Rota-Baxter word (None if
     it is one).  All three depend only on the atoms, which never change, so
     a cached value is the value a fresh computation would give.  Its atoms
@@ -277,16 +292,7 @@ class Word(ReducedWord):
     __slots__ = ("_rb_violation",)
 
     def _make_plan(self) -> tuple:
-        """``(names, bodies, steps)``: how to evaluate the word.
-
-        ``names`` are its generator names in the order an evaluation meets
-        them; ``bodies`` are its distinct bracket bodies, each after every
-        body it contains, and ``steps`` the word's own atoms.  A body or the
-        word is a tuple of ``(slot, sign)`` steps, one per atom: slot ``i``
-        is ``names[i]`` for ``i < len(names)`` and else the bracket of
-        ``bodies[i - len(names)]``.  The plan holds only names and ints, so
-        it refers to no word object.
-        """
+        # the plan of ReducedWord._plan, its bodies in _children_first order
         order = _children_first(self)
         slots: dict = {}  # a generator name or the id of a body -> its slot
         for u in order:
@@ -320,10 +326,11 @@ class Word(ReducedWord):
         return format_word(self)
 
 
-def _children_first(w: Word) -> list:
+def _children_first(w: Word, skip=None) -> list:
     """``w`` and its bracket bodies, each distinct body object once and after
     every body it contains.  Merges and ``**`` share bodies, so a walk per
-    occurrence can take time exponential in the depth."""
+    occurrence can take time exponential in the depth.  A body for which
+    ``skip`` is true is left out, with every body below it."""
     # an explicit stack of (body, rest of its atoms); w keeps every id valid
     order, seen = [], set()
     frames = [(w, iter(w.atoms))]
@@ -332,27 +339,12 @@ def _children_first(w: Word) -> list:
             b = a.base
             if not isinstance(b, str) and id(b) not in seen:
                 seen.add(id(b))
-                frames.append((b, iter(b.atoms)))
-                break
+                if skip is None or not skip(b):
+                    frames.append((b, iter(b.atoms)))
+                    break
         else:
             order.append(frames.pop()[0])
     return order
-
-
-def _hash_bodies(w: Word) -> None:
-    # Hash w and the unhashed bodies below it, each after the bodies it
-    # contains, on an explicit stack of (body, rest of its atoms): the hash of
-    # a body then reads only stored hashes and does not recurse.  A body is
-    # hashed when it leaves the stack, so none is entered twice.
-    frames = [(w, iter(w.atoms))]
-    while frames:
-        for a in frames[-1][1]:
-            b = a.base
-            if not isinstance(b, str) and b._hash is None:
-                frames.append((b, iter(b.atoms)))
-                break
-        else:
-            hash(frames.pop()[0])
 
 
 def gen(name: str, sign: int = 1) -> Word:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import derive_recursive, random_diff_word, record_hashes
+from opgroups import operated
 from opgroups.differential import (
     DiffLetter,
     DiffTarget,
@@ -21,7 +22,7 @@ from opgroups.differential import (
 )
 from opgroups.finite import Law, constant_operator, cyclic, enumerate_operators, symmetric
 from opgroups.operated import OperatedTarget, UnassignedGeneratorError
-from opgroups.words import WordSyntaxError
+from opgroups.words import Atom, Word, WordSyntaxError
 
 x0 = diff_gen("x")
 y0 = diff_gen("y")
@@ -320,6 +321,36 @@ def test_eval_homomorphism_and_intertwining():
             eu, ev = evaluate(u, assignment, t), evaluate(v, assignment, t)
             assert evaluate(u * v, assignment, t) == g.mul(eu, ev)
             assert evaluate(derive(u), assignment, t) == t.op(eu)
+
+
+def as_bracketed_word(w: DiffWord) -> Word:
+    # the paper's reading of a derived letter: x.n is x inside n brackets
+    atoms = []
+    for a in w:
+        base = a.symbol
+        for _ in range(a.order):
+            base = Word((Atom(base),))
+        atoms.append(Atom(base, a.sign))
+    return Word(atoms)
+
+
+def test_a_derived_word_evaluates_as_its_bracketed_word():
+    # one evaluator: operated.evaluate takes a DiffWord, into any self-map,
+    # and derives each order of a symbol once
+    calls = []
+    t = OperatedTarget(cyclic(4), lambda i: calls.append(i) or (i + 1) % 4)
+    assert operated.evaluate(parse_diff_word("x.3 y x.1"), {"x": 1, "y": 2}, t) == 0
+    assert calls == [1, 2, 3]
+    rng = random.Random(37)
+    for g in (cyclic(4), symmetric(3)):
+        for _ in range(20):
+            t = OperatedTarget(g, tuple(rng.randrange(len(g)) for _ in range(len(g))).__getitem__)
+            assignment = {s: rng.randrange(len(g)) for s in "xyz"}
+            for _ in range(10):
+                w = random_diff_word(rng, max_order=4)
+                got = operated.evaluate(w, assignment, t)
+                assert got == operated.evaluate(as_bracketed_word(w), assignment, t), w
+                assert evaluate(w, assignment, t) == got
 
 
 def test_eval_constant_identity_annihilates_derivatives():

@@ -30,6 +30,7 @@ from opgroups.finite import (
     inversion_operator,
     klein_four,
     load_group_file,
+    operator_from_names,
     operator_to_names,
     projection_operator,
     quaternion,
@@ -70,6 +71,15 @@ def test_s3_cycle_names():
     assert s3.mul(i, i) == s3.identity_index
     r = s3.index("(123)")
     assert s3.name(s3.mul(r, r)) == "(132)"
+
+
+def test_an_unhashable_name_is_an_unknown_name():
+    # FiniteGroup.index raised a bare TypeError on an unhashable name
+    c2 = cyclic(2)
+    for names in (["e", ["a"]], ["e", "b"]):
+        with pytest.raises(ValueError, match=r"^unknown element name "):
+            operator_from_names(c2, names)
+    assert operator_from_names(c2, ["e", "a"]) == (0, 1)
 
 
 def test_validate_rejects_empty_table():
@@ -386,6 +396,20 @@ def test_images_outside_the_carrier_are_rejected():
             convert_weight(op, c2)
 
 
+def test_first_violation_checks_the_shape_of_the_images():
+    # a short tuple raised a bare IndexError, a dict missing 2 a bare KeyError
+    g = cyclic(3)
+    for op in [(0, 1), (0, 1, 2, 0)]:
+        for check in (first_violation, check_identity):
+            with pytest.raises(ValueError,
+                               match=rf"^operator must have 3 images, got {len(op)}$"):
+                check(g, op, Law.ENDO)
+    for carrier in (g, _C3()):
+        with pytest.raises(ValueError, match=r"^the operator has no image of 2$"):
+            first_violation(carrier, {0: 0, 1: 0}, Law.ENDO)
+        assert first_violation(carrier, {0: 0, 1: 0, 2: 0}, Law.ENDO) is None
+
+
 def test_a_carrier_that_is_not_closed_is_named():
     class Open:
         # 0, 1, 2 under integer addition: 1 + 2 and the inverse of 1 leave it
@@ -690,7 +714,7 @@ def test_projection_operator_rejects_bad_factorizations():
 def test_import_does_not_load_yaml():
     # only the group-file functions need PyYAML, so they import it themselves
     code = "import sys, opgroups; print('yaml' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
 
@@ -698,7 +722,7 @@ def test_import_does_not_load_yaml():
 def test_import_does_not_load_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize at import
     code = "import sys, opgroups; print('dataclasses' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, encoding="utf-8",
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
 
@@ -717,14 +741,14 @@ def test_group_file_round_trip(tmp_path):
 
 def test_group_file_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.grp"
-    path.write_text("elements: [e]\ntable: [[e]]\ncolour: blue\n")
+    path.write_text("elements: [e]\ntable: [[e]]\ncolour: blue\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown group file keys: colour"):
         load_group_file(path)
 
 
 def test_group_file_requires_elements_and_table(tmp_path):
     path = tmp_path / "bad.grp"
-    path.write_text("elements: [e]\n")
+    path.write_text("elements: [e]\n", encoding="utf-8")
     with pytest.raises(ValueError, match="missing"):
         load_group_file(path)
 
@@ -734,7 +758,7 @@ def test_group_file_action_is_validated(tmp_path):
     path.write_text(
         "elements: [e, a]\n"
         "table: [[e, a], [a, e]]\n"
-        "action: [[a, e], [e, a]]\n")
+        "action: [[a, e], [e, a]]\n", encoding="utf-8")
     with pytest.raises(ValueError, match="identity"):
         load_group_file(path)
 
@@ -755,6 +779,6 @@ GROUP_C2 = "elements: [e, a]\ntable: [[e, a], [a, e]]\n"
 ])
 def test_group_file_rejects_a_string_for_a_list(tmp_path, body, key):
     path = tmp_path / "bad.grp"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{key} must be a list, got str$"):
         load_group_file(path)
