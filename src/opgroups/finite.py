@@ -9,6 +9,18 @@ operator of an exact factorization.  It re-exports the names of
 
 Carrier elements are the indices ``0..n-1`` of the element-name list; an
 operator map is a length-n tuple of image indices.
+
+Four of the six laws are homomorphisms in disguise, pair by pair: D is a
+weight 1 differential operator exactly when x -> D(x) x is an endomorphism,
+a weight -1 one exactly when x -> D(x)^-1 x is, and f is a crossed
+homomorphism for an action by automorphisms exactly when x -> (f(x), x) is a
+homomorphism into the semidirect product.  A map that is multiplicative on
+the pairs (a, s), with s in a generating set, is multiplicative everywhere:
+the b with h(ab) = h(a) h(b) for all a are closed under the product.  So on a
+:class:`FiniteGroup` these laws are checked, and searched, on the pairs whose
+right factor is in the group's generating set ``_gens``; the two
+Rota-Baxter laws, and a crossed law whose action is not by automorphisms,
+keep every pair.
 """
 
 from __future__ import annotations
@@ -97,6 +109,11 @@ class Law(str, Enum):
     CROSSED = "crossed"      # f(ab) = f(a) act(a, f(b))
 
 
+# the laws decided on the pairs whose right factor is a generator (see above);
+# the crossed law joins them when its action is by automorphisms
+_HOMOMORPHISM_LIKE = frozenset({Law.ENDO, Law.DIFF_PLUS, Law.DIFF_MINUS})
+
+
 def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None:
     """Check that ``action`` is an n x n matrix of element indices that
     satisfies the left-action axioms act(e, x) = x and
@@ -129,24 +146,40 @@ def _check_action_axioms(rows, e: int, action, name: Callable) -> None:
                         f"({name(a)}, {name(b)}, {name(x)})")
 
 
-# The last (Cayley table, action) pair that passed validate_action, by value:
-# the lab checks every operator of a search against one action.  A key by
-# value cannot go stale when a caller mutates its action in place, and one
-# entry keeps the memory O(1) however many groups a process builds.
+# The last (Cayley table, action) pair that passed validate_action, by value,
+# and whether that action is by automorphisms: the lab checks every operator
+# of a search against one action.  A key by value cannot go stale when a
+# caller mutates its action in place, and one entry keeps the memory O(1)
+# however many groups a process builds.
 _valid_action: Optional[tuple] = None
 
 
-def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tuple:
+def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tuple[tuple, bool]:
     """A snapshot of ``action`` as a tuple of tuples, validated by
     :func:`validate_action` unless it equals the last one validated on the
-    same table."""
+    same table, and whether it acts by automorphisms."""
     global _valid_action
     snapshot = tuple(map(tuple, action))
     key = (group._table, snapshot)
-    if key != _valid_action:
+    if _valid_action is None or key != _valid_action[0]:
         validate_action(group, snapshot)
-        _valid_action = key
-    return snapshot
+        _valid_action = key, _by_automorphisms(group, snapshot)
+    return snapshot, _valid_action[1]
+
+
+def _by_automorphisms(group: FiniteGroup, action: tuple) -> bool:
+    # whether each act(g, .) of a valid action is an automorphism.  It is a
+    # bijection, with inverse act(g^-1, .); it is multiplicative when it is on
+    # the pairs (x, s) with s a generator, and act(gh, .) = act(g, act(h, .)),
+    # so the generators g suffice too
+    rows, gens = group._table, group._gens
+    for g in gens:
+        act = action[g]
+        for x, row in enumerate(rows):
+            ax = rows[act[x]]
+            if any(act[row[s]] != ax[act[s]] for s in gens):
+                return False
+    return True
 
 
 def adjoint_action(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -184,30 +217,62 @@ def _pair_rule(rows, inv, law: Law, action) -> Callable:
     return lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q])
 
 
+def _law_rule(group: FiniteGroup, law: Law, action) -> tuple[Callable, Sequence[int]]:
+    """The pair rule of ``law`` on ``group`` and the right factors ``b`` of
+    the pairs ``(a, b)`` on which it must hold: the generating set for a
+    homomorphism-like law (see the module docstring), else every element.
+    The action of the crossed law is checked by :func:`_checked_action`."""
+    rights = group._gens if law in _HOMOMORPHISM_LIKE else range(len(group))
+    if law is Law.CROSSED and action is not None:
+        action, by_automorphisms = _checked_action(group, action)
+        if by_automorphisms:
+            rights = group._gens
+    return _pair_rule(group._table, group._inv, law, action), rights
+
+
+def _first_broken(rule: Callable, ims: list, rights: Sequence[int]) -> Optional[tuple[int, int]]:
+    # the first pair (a, b), b in rights, at which the map ims breaks rule
+    for a, p in enumerate(ims):
+        for b in rights:
+            c, v = rule(a, p, b, ims[b])
+            if ims[c] != v:
+                return a, b
+    return None
+
+
 def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     """The first pair ``(a, b)``, in ``group.iter_elements()`` order, at which
     ``x -> images[x]`` breaks ``law``, or None.  ``images`` is a dict or, for
-    a :class:`FiniteGroup`, a tuple; a tuple of the wrong length, a dict with
-    no image of an element and an image outside the carrier raise ValueError.
+    a :class:`FiniteGroup`, a tuple; a tuple of the wrong length, an element
+    with no image and an image outside the carrier raise ValueError.
 
     Each pair is tested by the law's pair rule (the one the operator search
     uses), on the Cayley table of a :class:`FiniteGroup` or, for any other
     carrier, on a table of its elements built with ``group.mul`` and
-    ``group.inv``.  The action of the crossed law is checked as
-    :func:`validate_action` checks it: its shape, each entry and the action
-    axioms.  On a :class:`FiniteGroup` the last action that passed is
-    remembered by value, with the table, so checking many operators against
-    one action validates it once; on any other carrier, whose action is
-    indexed by its elements, it is checked on every call.
+    ``group.inv``.  On a :class:`FiniteGroup` the endomorphism, both
+    differential laws and the crossed law for an action by automorphisms
+    are first tested on the pairs whose right factor is in the group's
+    generating set, which decides them (see the module docstring); only a
+    map that breaks one there is scanned over every pair, for the first
+    broken pair in element order.  Any other carrier is scanned over every
+    pair, as its table is not validated as a group.  The action of the
+    crossed law is checked as :func:`validate_action` checks it: its shape,
+    each entry and the action axioms.  On a :class:`FiniteGroup` the last
+    action that passed is remembered by value, with the table and whether it
+    is by automorphisms, so checking many operators against one action
+    validates it once; on any other carrier, whose action is indexed by its
+    elements, it is checked on every call.
     """
     law = Law(law)
     elems = list(group.iter_elements())
     if not isinstance(images, Mapping) and len(images) != len(elems):
         raise ValueError(f"operator must have {len(elems)} images, got {len(images)}")
-    try:
-        ys = [images[x] for x in elems]
-    except KeyError as e:
-        raise ValueError(f"the operator has no image of {e.args[0]!r}") from None
+    ys = []
+    for x in elems:
+        try:
+            ys.append(images[x])
+        except (LookupError, TypeError):  # a dict without x, or a sequence x does not index
+            raise ValueError(f"the operator has no image of {x!r}") from None
     finite = isinstance(group, FiniteGroup)
     if finite:
         # an image is an index: a bool or 1.0 equals one, but names no element
@@ -220,20 +285,16 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
         i = ims.index(None)
         raise ValueError(f"the image {ys[i]!r} of {elems[i]!r} is not an element")
     if finite:
-        rows, inv = group._table, group._inv
-        if law is Law.CROSSED and action is not None:
-            action = _checked_action(group, action)
+        rule, rights = _law_rule(group, law, action)
     else:
         rows, inv = _carrier_tables(group, elems, pos)
         if law is Law.CROSSED and action is not None:
             action = _carrier_action(group, action, elems, pos, rows)
-    rule = _pair_rule(rows, inv, law, action)
-    for a, p in enumerate(ims):
-        for b, q in enumerate(ims):
-            c, v = rule(a, p, b, q)
-            if ims[c] != v:
-                return elems[a], elems[b]
-    return None
+        rule, rights = _pair_rule(rows, inv, law, action), range(len(elems))
+    bad = _first_broken(rule, ims, rights)
+    if bad is not None and len(rights) < len(ims):  # the first broken pair of all
+        bad = _first_broken(rule, ims, range(len(ims)))
+    return None if bad is None else (elems[bad[0]], elems[bad[1]])
 
 
 def _position(pos: dict, x) -> Optional[int]:
@@ -326,25 +387,31 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     Assigns and propagates.  The law's pair rule says that the pair
     ``(a, b)`` holds exactly when the image of some ``c`` takes some value
     ``v``, so once ``a`` and ``b`` have images the image of ``c`` is forced.
-    The search branches on the lowest-index element without an image, trying
-    each image in turn.  Every element that gets an image, by a branch or by
-    force, joins a queue; taking ``k`` off the queue runs the rule on the
-    pairs ``(k, a)`` and ``(a, k)`` for ``k`` and every element taken off
-    before it.  A forced image of an element without one is set and queued,
-    and a forced image that differs from the one already set prunes the
-    branch.  So on each path every ordered pair is checked exactly once, and
-    the maps found are exactly those satisfying the law.  The maps come out
-    sorted: two of them first differ at the element of a branch point, as
-    both keep every image set before it, and the branch tries images in
-    ascending order.  Trying more than ``ENUM_NODE_BUDGET`` (10^6) images at
-    branch points raises :class:`EnumerationBudgetError`; every law on every
-    built-in group up to order 64 tries at most 36,992 (D32).
+    The law must hold on the pairs whose right factor is a generator, for a
+    homomorphism-like law (see the module docstring), or on every pair.
+    Every law forces the identity to the identity, as its pair ``(e, e)``
+    reads ``p = p p``, so the search starts from that image; it branches on
+    the lowest-index element without an image, trying each image in turn.
+    Every element that gets an image, by a branch or by force, joins a
+    queue; taking ``k`` off the queue runs the rule on the pairs ``(k, a)``
+    and ``(a, k)`` for ``k`` and every element taken off before it whose
+    right factor is one of those the law needs.  A forced image of an
+    element without one is set and queued, and a forced image that differs
+    from the one already set prunes the branch.  So on each path every
+    needed pair is checked exactly once, and the maps found are exactly
+    those satisfying the law.  The maps come out sorted: two of them first
+    differ at the element of a branch point, as both keep every image set
+    before it, and the branch tries images in ascending order.  Trying more
+    than ``ENUM_NODE_BUDGET`` (10^6) images at branch points raises
+    :class:`EnumerationBudgetError`; every law on every built-in group up to
+    order 64 tries at most 36,928 (D32).
     """
     law = Law(law)
     n = len(group)
-    if law is Law.CROSSED and action is not None:
-        action = _checked_action(group, action)
-    rule = _pair_rule(group._table, group._inv, law, action)
+    rule, rights = _law_rule(group, law, action)
+    is_right = [False] * n
+    for b in rights:
+        is_right[b] = True
 
     images: list[Optional[int]] = [None] * n
     # the elements with an image, in the order they got it: the queue, the
@@ -362,13 +429,11 @@ def enumerate_operators(group: FiniteGroup, law: Law,
             k = trail[head]
             pk = images[k]
             head += 1
-            # the (c, v) forced by the pairs of k with itself and with each
-            # element taken off the queue before it
-            forced = [rule(k, pk, k, pk)]
-            for a in trail[:head - 1]:
-                pa = images[a]
-                forced.append(rule(k, pk, a, pa))
-                forced.append(rule(a, pa, k, pk))
+            # the (c, v) forced by the needed pairs of k with itself and with
+            # each element taken off the queue before it
+            forced = [rule(k, pk, a, images[a]) for a in trail[:head] if is_right[a]]
+            if is_right[k]:
+                forced += [rule(a, images[a], k, pk) for a in trail[:head - 1]]
             for c, v in forced:
                 pc = images[c]
                 if pc is None:
@@ -397,7 +462,9 @@ def enumerate_operators(group: FiniteGroup, law: Law,
                 images[y] = None
             del trail[mark:]
 
-    extend(0)
+    e = group.identity_index
+    if propagate(e, e):  # always: no pair (e, e) breaks a law at e -> e
+        extend(0)
     return found
 
 

@@ -58,10 +58,15 @@ def multiply_images(steps, group, values):
     """The product in ``group`` over the ``(slot, sign)`` steps of a plan of
     ``values[slot]``, inverted where ``sign`` is negative.  The images of the
     slots are computed before the loop, so it calls only ``group.mul`` and
-    ``group.inv`` per step."""
+    ``group.inv`` per step.  The product starts from the first factor, so
+    ``group.identity()`` is called only for no steps, as for ``<1>``."""
+    if not steps:
+        return group.identity()
     mul, inv = group.mul, group.inv
-    acc = group.identity()
-    for slot, sign in steps:
+    rest = iter(steps)
+    slot, sign = next(rest)
+    acc = values[slot] if sign > 0 else inv(values[slot])
+    for slot, sign in rest:
         acc = mul(acc, values[slot] if sign > 0 else inv(values[slot]))
     return acc
 

@@ -1,6 +1,6 @@
 """Seeded random generators for words of the three theories, shared by the
 unit tests and the acceptance suite, and test oracles for the products, the
-powers and the operator search."""
+powers, the law checks and the operator search."""
 
 from __future__ import annotations
 
@@ -187,7 +187,38 @@ def _merge_positive(a: Atom, b: Atom) -> Optional[Atom]:
     return Atom(Word(body), 1)
 
 
-# --- oracle: the prefix search ----------------------------------------------
+# --- oracles: the full law scan and the prefix search -----------------------
+
+def law_holds(g, op, law, action, a, b):
+    """Whether ``op`` satisfies ``law`` at the pair ``(a, b)``, written out from
+    the formula in the comment on each :class:`Law` member, with no code
+    shared with ``finite.py``."""
+    m, i = g.mul, g.inv
+    if law is Law.ENDO:         # P(ab) = P(a) P(b)
+        return op[m(a, b)] == m(op[a], op[b])
+    if law is Law.DIFF_PLUS:    # D(ab) = D(a) a D(b) a^-1
+        return op[m(a, b)] == m(m(m(op[a], a), op[b]), i(a))
+    if law is Law.DIFF_MINUS:   # D(ab) = (a D(b) a^-1) D(a)
+        return op[m(a, b)] == m(m(m(a, op[b]), i(a)), op[a])
+    if law is Law.RB_PLUS:      # B(a) B(b) = B(a B(a) b B(a)^-1)
+        return m(op[a], op[b]) == op[m(m(m(a, op[a]), b), i(op[a]))]
+    if law is Law.RB_MINUS:     # C(a) C(b) = C((C(a) b C(a)^-1) a)
+        return m(op[a], op[b]) == op[m(m(m(op[a], b), i(op[a])), a)]
+    if law is Law.CROSSED:      # f(ab) = f(a) act(a, f(b))
+        return op[m(a, b)] == m(op[a], action[a][op[b]])
+    raise AssertionError(law)
+
+
+def first_broken_pair(g, op, law, action=None):
+    """Oracle for :func:`opgroups.finite.first_violation` on a
+    :class:`FiniteGroup`: the first pair ``(a, b)`` in element order at which
+    the map ``op`` breaks ``law``, scanning every pair with :func:`law_holds`."""
+    for a in range(len(g)):
+        for b in range(len(g)):
+            if not law_holds(g, op, law, action, a, b):
+                return a, b
+    return None
+
 
 def enumerate_operators_prefix(group, law, action=None) -> list[tuple[int, ...]]:
     """Oracle for :func:`opgroups.finite.enumerate_operators`: assign the

@@ -7,8 +7,8 @@ from itertools import permutations, product
 
 import pytest
 
-from helpers import enumerate_operators_prefix
-from opgroups import finite
+from helpers import enumerate_operators_prefix, first_broken_pair
+from opgroups import finite, groups
 from opgroups.differential import DiffTarget
 from opgroups.finite import (
     EnumerationBudgetError,
@@ -139,8 +139,37 @@ def test_validate_rejects_nonassociative_latin_square():
         assert sorted(row) == names
     for col in zip(*table):
         assert sorted(col) == names
-    with pytest.raises(GroupTableError, match="associativity fails at"):
+    with pytest.raises(GroupTableError, match=r"^associativity fails at \(1, 1, 2\)$"):
         validate_group(names, table)
+
+
+def test_a_nonassociative_table_names_its_first_failing_triple():
+    # a loop of order 8 (a Latin square with identity 0 and two-sided
+    # inverses) whose first failing triple, (1, 2, 3), has the middle element
+    # 2 outside the generating set (1, 3): the test on the generators finds
+    # some failure, and the rescan of every triple names the first
+    rows = [[0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 6, 7, 3, 4, 0, 5], [2, 6, 0, 5, 7, 3, 1, 4],
+            [3, 7, 5, 4, 1, 0, 2, 6], [4, 3, 7, 6, 2, 1, 5, 0], [5, 4, 3, 0, 6, 2, 7, 1],
+            [6, 0, 1, 2, 5, 7, 4, 3], [7, 5, 4, 1, 0, 6, 3, 2]]
+    assert groups._generators(rows, 0) == (1, 3)
+    with pytest.raises(GroupTableError, match=r"^associativity fails at \(1, 2, 3\)$"):
+        FiniteGroup([str(i) for i in range(8)], rows)
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic(1), lambda: cyclic(12), klein_four, quaternion,
+                                  lambda: symmetric(4), lambda: dihedral(32)])
+def test_the_generators_generate_the_group(make):
+    # every element is a right product of generators, starting from e, and
+    # each generator is outside the subgroup the earlier ones generate
+    g = make()
+    reached = {g.identity_index}
+    for s in g._gens:
+        assert s not in reached
+        layer = reached
+        while layer:
+            layer = {g.mul(r, t) for r in layer for t in g._gens if t <= s} - reached
+            reached |= layer
+    assert reached == set(range(len(g)))
 
 
 def test_size_bound():
@@ -258,33 +287,6 @@ def test_the_crossed_law_validates_the_action_on_any_carrier():
         first_violation(_C3(), {0: 0, 1: [0], 2: 0}, Law.ENDO)
 
 
-# Independent oracle for the laws: each predicate is written out from the
-# formula in the comment on its Law member, with no code shared with finite.py.
-def law_holds(g, op, law, action, a, b):
-    m, i = g.mul, g.inv
-    if law is Law.ENDO:         # P(ab) = P(a) P(b)
-        return op[m(a, b)] == m(op[a], op[b])
-    if law is Law.DIFF_PLUS:    # D(ab) = D(a) a D(b) a^-1
-        return op[m(a, b)] == m(m(m(op[a], a), op[b]), i(a))
-    if law is Law.DIFF_MINUS:   # D(ab) = (a D(b) a^-1) D(a)
-        return op[m(a, b)] == m(m(m(a, op[b]), i(a)), op[a])
-    if law is Law.RB_PLUS:      # B(a) B(b) = B(a B(a) b B(a)^-1)
-        return m(op[a], op[b]) == op[m(m(m(a, op[a]), b), i(op[a]))]
-    if law is Law.RB_MINUS:     # C(a) C(b) = C((C(a) b C(a)^-1) a)
-        return m(op[a], op[b]) == op[m(m(m(op[a], b), i(op[a])), a)]
-    if law is Law.CROSSED:      # f(ab) = f(a) act(a, f(b))
-        return op[m(a, b)] == m(op[a], action[a][op[b]])
-    raise AssertionError(law)
-
-
-def first_broken_pair(g, op, law, action=None):
-    for a in range(len(g)):
-        for b in range(len(g)):
-            if not law_holds(g, op, law, action, a, b):
-                return a, b
-    return None
-
-
 def relabel(g, order):
     """A copy of ``g`` whose element ``k`` is the element ``order[k]`` of ``g``."""
     pos = {x: k for k, x in enumerate(order)}
@@ -349,6 +351,58 @@ def test_first_violation_on_a_carrier_that_is_not_a_finite_group():
             assert first_violation(c, images, law, c_action) == expected, (op, law)
 
 
+def left_regular_action(g):
+    """act(g, x) = g x: an action, but not by automorphisms."""
+    return tuple(tuple(g.mul(a, x) for x in range(len(g))) for a in range(len(g)))
+
+
+UP_TO_ORDER_12 = {**{f"C{n}": (lambda n=n: cyclic(n)) for n in range(1, 13)}, "V4": klein_four,
+                  **{f"D{n}": (lambda n=n: dihedral(n)) for n in range(3, 7)},
+                  "A4": lambda: alternating(4), "Q8": quaternion}
+
+
+@pytest.mark.parametrize("name", UP_TO_ORDER_12)
+def test_first_violation_matches_the_full_scan(name):
+    # first_violation decides four laws on the pairs whose right factor is a
+    # generator, and scans every pair only for a map that breaks one there:
+    # it must name the full scan's first broken pair, for every law, in the
+    # built-in labelling and under seeded shuffles (which move the
+    # generators), on the lawful maps of every law and on random maps, most
+    # of which break every law.  The crossed law also runs under the
+    # left-regular action, which is not by automorphisms and takes the full
+    # scan.
+    g0 = UP_TO_ORDER_12[name]()
+    n = len(g0)
+    rng = random.Random(name)
+    for order in (range(n), rng.sample(range(n), n), rng.sample(range(n), n)):
+        g = relabel(g0, order)
+        laws = [(law, adjoint_action(g) if law is Law.CROSSED else None) for law in Law]
+        laws.append((Law.CROSSED, left_regular_action(g)))
+        maps = {tuple(rng.randrange(n) for _ in range(n)) for _ in range(30)}
+        for law, action in laws:
+            maps.update(enumerate_operators(g, law, action))
+        for op in sorted(maps):
+            for law, action in laws:
+                expected = first_broken_pair(g, op, law, action)
+                assert first_violation(g, op, law, action) == expected, (order, op, law, action)
+
+
+def test_an_action_is_by_automorphisms_when_it_is_on_the_generators():
+    # the verdict that lets the crossed law use the generators, against
+    # every triple; on C4, a -> (x -> x^(-1)^a) acts by outer automorphisms
+    c4 = cyclic(4)
+    flips = tuple(tuple(x if a % 2 == 0 else c4.inv(x) for x in range(4)) for a in range(4))
+    cases = [(c4, flips, True), (c4, left_regular_action(c4), False),
+             (cyclic(1), left_regular_action(cyclic(1)), True)]
+    for g in (symmetric(3), dihedral(4), quaternion()):
+        cases += [(g, adjoint_action(g), True), (g, left_regular_action(g), False)]
+    for g, action, expected in cases:
+        m, n = g.mul, len(g)
+        assert all(action[a][m(x, y)] == m(action[a][x], action[a][y])
+                   for a in range(n) for x in range(n) for y in range(n)) is expected
+        assert finite._checked_action(g, action)[1] is expected
+
+
 def test_crossed_with_adjoint_equals_diff_plus():
     for g in (symmetric(3), dihedral(4)):
         act = adjoint_action(g)
@@ -408,6 +462,30 @@ def test_first_violation_checks_the_shape_of_the_images():
         with pytest.raises(ValueError, match=r"^the operator has no image of 2$"):
             first_violation(carrier, {0: 0, 1: 0}, Law.ENDO)
         assert first_violation(carrier, {0: 0, 1: 0, 2: 0}, Law.ENDO) is None
+
+    class C3FromOne:
+        # 1, 2, 3 under addition mod 3, shifted by one
+        def identity(self):
+            return 1
+
+        def iter_elements(self):
+            return range(1, 4)
+
+        def mul(self, a, b):
+            return (a + b - 2) % 3 + 1
+
+        def inv(self, a):
+            return -(a - 1) % 3 + 1
+
+    # a sequence of three images has no index 3: that raised a bare IndexError
+    for images in [(1, 1, 1), ["a", "b", "c"]]:
+        with pytest.raises(ValueError, match=r"^the operator has no image of 3$"):
+            first_violation(C3FromOne(), images, Law.ENDO)
+    assert first_violation(C3FromOne(), {1: 1, 2: 1, 3: 1}, Law.ENDO) is None
+    # a tuple indexed by a permutation raised a bare TypeError
+    c = PermutationCarrier()
+    with pytest.raises(ValueError, match=r"^the operator has no image of \(0, 1, 2\)$"):
+        first_violation(c, c.perms, Law.ENDO)
 
 
 def test_a_carrier_that_is_not_closed_is_named():
@@ -537,8 +615,10 @@ def test_enumeration_matches_prefix_search(name):
     random.Random(name).shuffle(shuffled)
     for order in ([x for x in range(len(g)) if x != e] + [e], shuffled):
         h = relabel(g, order)
-        for law in Law:
-            action = adjoint_action(h) if law is Law.CROSSED else None
+        # the crossed law under an action by automorphisms, and under one
+        # that is not, which the search checks on every pair
+        laws = [(law, adjoint_action(h) if law is Law.CROSSED else None) for law in Law]
+        for law, action in laws + [(Law.CROSSED, left_regular_action(h))]:
             ops = enumerate_operators(h, law, action)
             assert ops == sorted(ops), (order, law)
             assert ops == enumerate_operators_prefix(h, law, action), (order, law)
@@ -580,14 +660,27 @@ def test_diff_operators_satisfy_inverse_law():
 
 
 def test_enumeration_budget_errors(monkeypatch):
-    # the endo search on S3 branches 6 times and tries all 6 images each time
+    # the endo search on S3 starts from e -> e, branches 5 times and tries
+    # all 6 images each time
     g = symmetric(3)
-    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 36)
+    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 30)
     assert len(enumerate_operators(g, Law.ENDO)) == 10
-    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 35)
+    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 29)
     with pytest.raises(EnumerationBudgetError,
-                       match=r"^the endo search on a group of order 6 tries more than 35 images$"):
+                       match=r"^the endo search on a group of order 6 tries more than 29 images$"):
         enumerate_operators(g, Law.ENDO)
+
+
+def test_every_law_enumerates_up_to_order_64_within_the_budget(monkeypatch):
+    # the Rota-Baxter searches on D32 try the most images of any built-in
+    # group up to order 64: 36,928, far below ENUM_NODE_BUDGET
+    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 36928)
+    for g in (dihedral(16), dihedral(32), cyclic(64)):
+        for law in Law:
+            assert enumerate_operators(g, law, adjoint_action(g) if law is Law.CROSSED else None)
+    monkeypatch.setattr(finite, "ENUM_NODE_BUDGET", 36927)
+    with pytest.raises(EnumerationBudgetError, match=r"^the rb1 search on a group of order 64 "):
+        enumerate_operators(dihedral(32), Law.RB_PLUS)
 
 
 PAST_ORDER_8 = {**{f"C{n}": (lambda n=n: cyclic(n)) for n in (9, 10, 12)},

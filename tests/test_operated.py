@@ -1,10 +1,11 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
 from helpers import random_word
 from opgroups import rota_baxter
+from opgroups.differential import parse_diff_word
 from opgroups.finite import (
     Law,
     constant_operator,
@@ -51,6 +52,41 @@ def test_eval_identity_word():
     g = cyclic(3)
     t = OperatedTarget(g, table_op(identity_operator(g)))
     assert evaluate(Word(), {}, t) == g.identity_index
+
+
+class CountingC4:
+    """Z/4 on the ints 0..3, counting the calls of each carrier method."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def identity(self):
+        self.calls["identity"] += 1
+        return 0
+
+    def mul(self, a, b):
+        self.calls["mul"] += 1
+        return (a + b) % 4
+
+    def inv(self, a):
+        self.calls["inv"] += 1
+        return -a % 4
+
+
+def test_eval_calls_identity_only_for_an_empty_product():
+    # a product starts from its first factor: each order of x.3 was a body
+    # valued as identity() times its one factor
+    g = CountingC4()
+    t = OperatedTarget(g, lambda i: (i + 1) % 4)
+    for w, value, calls in [
+        (parse_diff_word("x.3 y x.1"), 0, {"mul": 2}),
+        (parse_word("<x <y>^-1> y"), 1, {"mul": 2, "inv": 1}),
+        (Word(), 0, {"identity": 1}),
+        (parse_word("<1> x"), 2, {"identity": 1, "mul": 1}),
+    ]:
+        g.calls.clear()
+        assert evaluate(w, {"x": 1, "y": 2}, t) == value, w
+        assert g.calls == calls, w
 
 
 def test_eval_direct_recursion():
