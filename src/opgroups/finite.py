@@ -17,16 +17,40 @@ homomorphism for an action by automorphisms exactly when x -> (f(x), x) is a
 homomorphism into the semidirect product.  A map that is multiplicative on
 the pairs (a, s), with s in a generating set, is multiplicative everywhere:
 the b with h(ab) = h(a) h(b) for all a are closed under the product.  So on a
-:class:`FiniteGroup` these laws are checked, and searched, on the pairs whose
-right factor is in the group's generating set ``_gens``; the two
-Rota-Baxter laws, and a crossed law whose action is not by automorphisms,
-keep every pair.
+:class:`FiniteGroup` these laws are checked on the pairs whose right factor
+is in the group's generating set ``_gens``.
+
+The two Rota-Baxter laws are decided the same way in the descendent group of
+Guo, Lang & Sheng (arXiv:2009.03492), a∘b = a B(a) b B(a)^-1: the element
+``c`` that the pair rule forces at (a, b) is a∘b.  The map
+σ(g) = (g B(g), B(g)) is one-to-one from G into G × G, and the law holds at
+(a, b) exactly when σ(a) σ(b) = σ(a∘b).  The m with σ(G) m ⊆ σ(G) are closed
+under the product, so if B(e) = e and the law holds on the pairs (a, t), with
+t in a set T whose right ∘-products reach every element from e, it holds on
+every pair.  The weight -1 law is the same law read through g -> g^-1 (see
+:func:`convert_weight`), with c = C(a) b C(a)^-1 a.  So on a
+:class:`FiniteGroup` these laws are checked on the pair (e, e) and on the
+pairs (a, t), with T grown during the check: a breadth-first search from e
+reaches the ``c`` of each pair that holds, and the lowest-index element not
+yet reached becomes the next element of T.  A lawful map takes n |T| + 1
+rule calls, and |T| <= log2 n, as each new element of T at least doubles
+the subgroup of the descendent group reached.
+
+The operator search takes the branch points of its current path as the
+right factors of the pairs it propagates through.  Every image it sets by
+force is at the ``c`` of a pair (a, t), with t a branch point, so on a
+complete path the branch points reach every element from e by right
+products (∘-products for the Rota-Baxter laws), and play the part of
+``_gens`` and of T.  A crossed law whose action is not by automorphisms is
+checked, and searched, on every pair.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from enum import Enum
+from itertools import chain
+from operator import is_
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -109,9 +133,9 @@ class Law(str, Enum):
     CROSSED = "crossed"      # f(ab) = f(a) act(a, f(b))
 
 
-# the laws decided on the pairs whose right factor is a generator (see above);
-# the crossed law joins them when its action is by automorphisms
-_HOMOMORPHISM_LIKE = frozenset({Law.ENDO, Law.DIFF_PLUS, Law.DIFF_MINUS})
+# the laws decided on the pairs whose right factor is a generator (see above),
+# the crossed law when its action is by automorphisms
+_HOMOMORPHISM_LIKE = frozenset({Law.ENDO, Law.DIFF_PLUS, Law.DIFF_MINUS, Law.CROSSED})
 
 
 def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None:
@@ -126,45 +150,73 @@ def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None
             if not _is_index(v, n):
                 raise ValueError(f"action entry {v!r} at ({group.name(g)}, {group.name(x)}) "
                                  "is not an element index")
-    _check_action_axioms(group._table, group.identity_index, action, group.name)
+    # the b with act(ab, x) = act(a, act(b, x)) for all a and x contain e,
+    # once act(e, .) fixes every x, and are closed under the product, so the
+    # generators decide the second axiom (as in F. W. Light's test, see
+    # FiniteGroup); only an action that fails there is scanned in full, so
+    # that the error names the first failing triple
+    rows, e = group._table, group.identity_index
+    action = tuple(map(tuple, action))
+    if action[e] != tuple(range(n)) or _first_incompatible(rows, action, group._gens):
+        _check_action_axioms(rows, e, action, group.name)
+
+
+def _first_incompatible(rows, action, middles) -> Optional[tuple[int, int, int]]:
+    # the first triple (a, b, x), with b in middles, at which a table of
+    # tuples breaks act(ab, x) = act(a, act(b, x))
+    for a, row_a in enumerate(rows):
+        act_a = action[a]
+        for b in middles:
+            left, right = action[row_a[b]], tuple(map(act_a.__getitem__, action[b]))
+            if left != right:
+                return a, b, next(x for x, v in enumerate(left) if v != right[x])
+    return None
 
 
 def _check_action_axioms(rows, e: int, action, name: Callable) -> None:
-    # the left-action axioms of an n x n table of element indices, on the
-    # Cayley table rows with identity index e; name(i) names element i
-    n = len(rows)
-    for x in range(n):
-        if action[e][x] != x:
+    # the left-action axioms of an n x n table of tuples of element indices,
+    # on the Cayley table rows with identity index e, scanning every triple;
+    # name(i) names element i
+    for x, v in enumerate(action[e]):
+        if v != x:
             raise ValueError(f"action of the identity moves {name(x)!r}")
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            for x in range(n):
-                if action[ab][x] != action[a][action[b][x]]:
-                    raise ValueError(
-                        f"action is not compatible with multiplication at "
-                        f"({name(a)}, {name(b)}, {name(x)})")
+    bad = _first_incompatible(rows, action, range(len(rows)))
+    if bad is not None:
+        a, b, x = bad
+        raise ValueError(f"action is not compatible with multiplication at "
+                         f"({name(a)}, {name(b)}, {name(x)})")
 
 
-# The last (Cayley table, action) pair that passed validate_action, by value,
-# and whether that action is by automorphisms: the lab checks every operator
-# of a search against one action.  A key by value cannot go stale when a
-# caller mutates its action in place, and one entry keeps the memory O(1)
-# however many groups a process builds.
+# The last action that passed validate_action: its Cayley table, a snapshot
+# of it as a tuple of tuples, and whether it is by automorphisms.  The lab
+# checks every operator of a search against one action.  A snapshot cannot
+# go stale when a caller mutates its action in place, and one entry keeps the
+# memory O(1) however many groups a process builds.
 _valid_action: Optional[tuple] = None
 
 
 def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tuple[tuple, bool]:
     """A snapshot of ``action`` as a tuple of tuples, validated by
-    :func:`validate_action` unless it equals the last one validated on the
-    same table, and whether it acts by automorphisms."""
+    :func:`validate_action` unless it is the last one validated on the same
+    table, or equals it and holds only ints, and whether it acts by
+    automorphisms."""
     global _valid_action
+    memo = _valid_action
+    table = group._table
+    if memo is not None and action is memo[1] and table == memo[0]:
+        return memo[1], memo[2]  # the snapshot itself, which cannot change
     snapshot = tuple(map(tuple, action))
-    key = (group._table, snapshot)
-    if _valid_action is None or key != _valid_action[0]:
+    # equal by value is not enough, as False == 0 and 1.0 == 1 name no element
+    if (memo is None or table != memo[0] or snapshot != memo[1]
+            or {*map(type, chain.from_iterable(snapshot))} != {int}):
         validate_action(group, snapshot)
-        _valid_action = key, _by_automorphisms(group, snapshot)
-    return snapshot, _valid_action[1]
+        by_automorphisms = _by_automorphisms(group, snapshot)
+    else:
+        by_automorphisms = memo[2]
+    if type(action) is tuple and all(map(is_, snapshot, action)):
+        snapshot = action  # kept as it is, so that passing it again is a hit
+    _valid_action = table, snapshot, by_automorphisms
+    return snapshot, by_automorphisms
 
 
 def _by_automorphisms(group: FiniteGroup, action: tuple) -> bool:
@@ -217,17 +269,17 @@ def _pair_rule(rows, inv, law: Law, action) -> Callable:
     return lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q])
 
 
-def _law_rule(group: FiniteGroup, law: Law, action) -> tuple[Callable, Sequence[int]]:
-    """The pair rule of ``law`` on ``group`` and the right factors ``b`` of
-    the pairs ``(a, b)`` on which it must hold: the generating set for a
-    homomorphism-like law (see the module docstring), else every element.
-    The action of the crossed law is checked by :func:`_checked_action`."""
-    rights = group._gens if law in _HOMOMORPHISM_LIKE else range(len(group))
-    if law is Law.CROSSED and action is not None:
+def _law_rule(group: FiniteGroup, law: Law, action) -> tuple[Callable, bool]:
+    """The pair rule of ``law`` on ``group``, and whether the law must be
+    checked on every pair: only a crossed law whose action is not by
+    automorphisms must; every other law is decided by a set of right
+    factors (see the module docstring).  The action of the crossed law is
+    checked by :func:`_checked_action`."""
+    every_pair = False
+    if action is not None and law is Law.CROSSED:
         action, by_automorphisms = _checked_action(group, action)
-        if by_automorphisms:
-            rights = group._gens
-    return _pair_rule(group._table, group._inv, law, action), rights
+        every_pair = not by_automorphisms
+    return _pair_rule(group._table, group._inv, law, action), every_pair
 
 
 def _first_broken(rule: Callable, ims: list, rights: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -240,6 +292,38 @@ def _first_broken(rule: Callable, ims: list, rights: Sequence[int]) -> Optional[
     return None
 
 
+def _broken_in_descendent(rule: Callable, ims: list, e: int) -> Optional[tuple[int, int]]:
+    # a pair at which the map ims breaks a Rota-Baxter rule, or None: the
+    # pair (e, e), which holds only when e -> e, so that e∘t = t reaches each
+    # new generator t; then the pairs (a, t) of a breadth-first search from
+    # e, with t in a generating set T of the descendent group grown as it
+    # goes (see the module docstring)
+    c, v = rule(e, ims[e], e, ims[e])
+    if ims[c] != v:
+        return e, e
+    reached = [False] * len(ims)
+    reached[e] = True
+    seen: list[int] = [e]  # the elements reached, in the order reached
+    gens: list[int] = []
+    for s, hit in enumerate(reached):
+        if hit:
+            continue
+        # a new generator meets every element reached so far, and each
+        # element reached from here on meets every generator
+        gens.append(s)
+        old = len(seen)
+        for i, a in enumerate(seen):
+            p = ims[a]
+            for t in ((s,) if i < old else gens):
+                c, v = rule(a, p, t, ims[t])
+                if ims[c] != v:
+                    return a, t
+                if not reached[c]:
+                    reached[c] = True
+                    seen.append(c)
+    return None
+
+
 def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     """The first pair ``(a, b)``, in ``group.iter_elements()`` order, at which
     ``x -> images[x]`` breaks ``law``, or None.  ``images`` is a dict or, for
@@ -249,18 +333,22 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     Each pair is tested by the law's pair rule (the one the operator search
     uses), on the Cayley table of a :class:`FiniteGroup` or, for any other
     carrier, on a table of its elements built with ``group.mul`` and
-    ``group.inv``.  On a :class:`FiniteGroup` the endomorphism, both
-    differential laws and the crossed law for an action by automorphisms
-    are first tested on the pairs whose right factor is in the group's
-    generating set, which decides them (see the module docstring); only a
-    map that breaks one there is scanned over every pair, for the first
+    ``group.inv``.  On a :class:`FiniteGroup` the law is first tested on the
+    pairs that decide it (see the module docstring): the pairs whose right
+    factor is in the group's generating set, for the endomorphism and both
+    differential laws, and for the crossed law under an action by
+    automorphisms; the pair (e, e) and the pairs whose right factor is in a
+    generating set of the descendent group, for both Rota-Baxter laws.  Only
+    a map that breaks the law there, or a crossed law under an action that
+    is not by automorphisms, is scanned over every pair, for the first
     broken pair in element order.  Any other carrier is scanned over every
     pair, as its table is not validated as a group.  The action of the
     crossed law is checked as :func:`validate_action` checks it: its shape,
     each entry and the action axioms.  On a :class:`FiniteGroup` the last
-    action that passed is remembered by value, with the table and whether it
-    is by automorphisms, so checking many operators against one action
-    validates it once; on any other carrier, whose action is indexed by its
+    action that passed is remembered, with the table and whether it is by
+    automorphisms, so checking many operators against one action validates
+    it once: the same tuple of tuples, or an equal action of ints, is not
+    validated again.  On any other carrier, whose action is indexed by its
     elements, it is checked on every call.
     """
     law = Law(law)
@@ -285,15 +373,21 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
         i = ims.index(None)
         raise ValueError(f"the image {ys[i]!r} of {elems[i]!r} is not an element")
     if finite:
-        rule, rights = _law_rule(group, law, action)
+        rule, every_pair = _law_rule(group, law, action)
+        if every_pair:
+            bad = _first_broken(rule, ims, range(n))
+        else:
+            if law in _HOMOMORPHISM_LIKE:
+                bad = _first_broken(rule, ims, group._gens)
+            else:
+                bad = _broken_in_descendent(rule, ims, group.identity_index)
+            if bad is not None:  # the first broken pair of all
+                bad = _first_broken(rule, ims, range(n))
     else:
         rows, inv = _carrier_tables(group, elems, pos)
         if law is Law.CROSSED and action is not None:
             action = _carrier_action(group, action, elems, pos, rows)
-        rule, rights = _pair_rule(rows, inv, law, action), range(len(elems))
-    bad = _first_broken(rule, ims, rights)
-    if bad is not None and len(rights) < len(ims):  # the first broken pair of all
-        bad = _first_broken(rule, ims, range(len(ims)))
+        bad = _first_broken(_pair_rule(rows, inv, law, action), ims, range(len(elems)))
     return None if bad is None else (elems[bad[0]], elems[bad[1]])
 
 
@@ -332,7 +426,7 @@ def _carrier_action(group, action, elems: list, pos: dict, rows: list) -> list:
         cells = None
     if cells is None or len(action) != n or any(len(action[x]) != n for x in elems):
         raise ValueError(f"action must be an {n}x{n} matrix")
-    table = [[_position(pos, v) for v in row] for row in cells]
+    table = [tuple(_position(pos, v) for v in row) for row in cells]
     for x, row in zip(elems, table):
         if None in row:
             y = elems[row.index(None)]
@@ -387,19 +481,25 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     Assigns and propagates.  The law's pair rule says that the pair
     ``(a, b)`` holds exactly when the image of some ``c`` takes some value
     ``v``, so once ``a`` and ``b`` have images the image of ``c`` is forced.
-    The law must hold on the pairs whose right factor is a generator, for a
-    homomorphism-like law (see the module docstring), or on every pair.
     Every law forces the identity to the identity, as its pair ``(e, e)``
     reads ``p = p p``, so the search starts from that image; it branches on
     the lowest-index element without an image, trying each image in turn.
+    The branch points of the current path are its right factors (every
+    element is one, for a crossed law whose action is not by automorphisms).
     Every element that gets an image, by a branch or by force, joins a
     queue; taking ``k`` off the queue runs the rule on the pairs ``(k, a)``
-    and ``(a, k)`` for ``k`` and every element taken off before it whose
-    right factor is one of those the law needs.  A forced image of an
-    element without one is set and queued, and a forced image that differs
-    from the one already set prunes the branch.  So on each path every
-    needed pair is checked exactly once, and the maps found are exactly
-    those satisfying the law.  The maps come out sorted: two of them first
+    and ``(a, k)``, for ``k`` and every element taken off before it, whose
+    second element is a right factor.  A forced image of an element without
+    one is set and queued, and a forced image that differs from the one
+    already set prunes the branch.  So on each path every pair whose second
+    element is a branch point is checked exactly once.  Every forced element
+    is the ``c`` of such a pair, so on a complete path the branch points
+    reach every element from the identity and decide the law (see the
+    module docstring): the maps found are exactly those satisfying the law.
+    For the homomorphism-like laws the branch points are the group's
+    ``_gens``.  For the Rota-Baxter laws the pairs left out neither force an
+    image nor prune a branch that the others leave, so the tree is the one
+    that every pair gives.  The maps come out sorted: two of them first
     differ at the element of a branch point, as both keep every image set
     before it, and the branch tries images in ascending order.  Trying more
     than ``ENUM_NODE_BUDGET`` (10^6) images at branch points raises
@@ -408,10 +508,8 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     """
     law = Law(law)
     n = len(group)
-    rule, rights = _law_rule(group, law, action)
-    is_right = [False] * n
-    for b in rights:
-        is_right[b] = True
+    rule, every_pair = _law_rule(group, law, action)
+    is_right = [every_pair] * n
 
     images: list[Optional[int]] = [None] * n
     # the elements with an image, in the order they got it: the queue, the
@@ -455,12 +553,14 @@ def enumerate_operators(group: FiniteGroup, law: Law,
             raise EnumerationBudgetError(f"the {law.value} search on a group of order {n} "
                                          f"tries more than {ENUM_NODE_BUDGET} images")
         mark = len(trail)
+        is_right[x] = True  # a right factor while the branch below runs
         for p in range(n):
             if propagate(x, p):
                 extend(x + 1)
             for y in trail[mark:]:
                 images[y] = None
             del trail[mark:]
+        is_right[x] = every_pair
 
     e = group.identity_index
     if propagate(e, e):  # always: no pair (e, e) breaks a law at e -> e

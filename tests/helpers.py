@@ -220,6 +220,19 @@ def first_broken_pair(g, op, law, action=None):
     return None
 
 
+def descendent_table(g, op, law=Law.RB_PLUS) -> list[list[int]]:
+    """The products a∘b of the descendent group of a Rota-Baxter operator
+    (Guo, Lang & Sheng 2021), by element index: a B(a) b B(a)^-1 for a
+    weight 1 operator B, and C(a) b C(a)^-1 a for a weight -1 operator C,
+    which is the weight 1 product read through g -> g^-1."""
+    m, i, n = g.mul, g.inv, len(g)
+    if law is Law.RB_PLUS:
+        return [[m(m(m(a, op[a]), b), i(op[a])) for b in range(n)] for a in range(n)]
+    if law is Law.RB_MINUS:
+        return [[m(m(m(op[a], b), i(op[a])), a) for b in range(n)] for a in range(n)]
+    raise AssertionError(law)
+
+
 def enumerate_operators_prefix(group, law, action=None) -> list[tuple[int, ...]]:
     """Oracle for :func:`opgroups.finite.enumerate_operators`: assign the
     images in index order, with no propagation, and after each assignment

@@ -1,13 +1,14 @@
 import importlib
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import permutations, product
 
 import pytest
 
-from helpers import enumerate_operators_prefix, first_broken_pair
+from helpers import descendent_table, enumerate_operators_prefix, first_broken_pair, law_holds
 from opgroups import finite, groups
 from opgroups.differential import DiffTarget
 from opgroups.finite import (
@@ -403,6 +404,103 @@ def test_an_action_is_by_automorphisms_when_it_is_on_the_generators():
         assert finite._checked_action(g, action)[1] is expected
 
 
+@pytest.mark.parametrize("name", UP_TO_ORDER_12)
+def test_first_violation_names_the_first_broken_pair_of_near_rota_baxter_maps(name):
+    # the Rota-Baxter laws are first checked on (e, e) and on the pairs
+    # whose right factor is in a generating set of the descendent group,
+    # grown during the check: a map one image away from an operator breaks
+    # the law on few pairs, and the check must still name the first of them,
+    # e's image changed included
+    g0 = UP_TO_ORDER_12[name]()
+    n = len(g0)
+    rng = random.Random(name)
+    for order in (range(n), rng.sample(range(n), n)):
+        g = relabel(g0, order)
+        for law in (Law.RB_PLUS, Law.RB_MINUS):
+            for op in enumerate_operators(g, law):
+                for x, y in product(range(n), repeat=2):
+                    if y != op[x]:
+                        near = op[:x] + (y,) + op[x + 1:]
+                        expected = first_broken_pair(g, near, law)
+                        assert first_violation(g, near, law) == expected, (order, near, law)
+
+
+def test_rota_baxter_checks_need_the_descendent_generators_and_e_to_e():
+    # maps that two cheaper checks would pass.  On D6, maps that hold on
+    # every pair whose right factor is in the group's own generating set but
+    # are not Rota-Baxter: the generating set must be the descendent group's.
+    # On S3, maps with B(e) != e that a search from e which skipped the
+    # pair (e, e) would pass, as e∘t is then not t
+    d6 = dihedral(6)
+    for law, op in [(Law.RB_PLUS, (0, 6, 0, 6, 3, 9, 6, 0, 6, 0, 9, 3)),
+                    (Law.RB_MINUS, (0, 6, 0, 6, 3, 9, 6, 3, 9, 0, 6, 0))]:
+        assert all(law_holds(d6, op, law, None, a, s) for a in range(12) for s in d6._gens)
+        bad = first_broken_pair(d6, op, law)
+        assert bad is not None and first_violation(d6, op, law) == bad, law
+    s3 = symmetric(3)
+    for law, op in [(Law.RB_PLUS, (5, 0, 5, 5, 0, 0)), (Law.RB_MINUS, (5, 1, 4, 1, 4, 5))]:
+        assert check_identity(s3, op, law) == ("e", "e")
+
+
+@pytest.mark.parametrize("name", UP_TO_ORDER_12)
+def test_a_map_is_rota_baxter_exactly_when_its_graph_is_closed(name):
+    # σ(g) = (g B(g), B(g)) is one-to-one from G into G × G, and B satisfies
+    # the weight 1 law at (a, b) exactly when σ(a) σ(b) = σ(a∘b), the
+    # descendent product; so σ(G) is closed under the product of G × G for
+    # every Rota-Baxter operator and for no other map
+    g = UP_TO_ORDER_12[name]()
+    n, m = len(g), g.mul
+    rng = random.Random(name)
+    ops = enumerate_operators(g, Law.RB_PLUS)
+    maps = {tuple(rng.randrange(n) for _ in range(n)) for _ in range(20)}
+    for op in rng.sample(ops, min(len(ops), 5)):  # and maps one image away
+        x = rng.randrange(n)
+        maps.add(op[:x] + (rng.randrange(n),) + op[x + 1:])
+    maps.update(ops)
+    for op in maps:
+        lawful = first_broken_pair(g, op, Law.RB_PLUS) is None
+        assert lawful is (op in ops)
+        sigma = [(m(x, op[x]), op[x]) for x in range(n)]
+        assert len(set(sigma)) == n
+        circ = descendent_table(g, op)
+        for a, b in product(range(n), repeat=2):
+            product_ab = (m(sigma[a][0], sigma[b][0]), m(sigma[a][1], sigma[b][1]))
+            assert (product_ab == sigma[circ[a][b]]) is (op[circ[a][b]] == m(op[a], op[b]))
+        products = {(m(u, s), m(v, t)) for u, v in sigma for s, t in sigma}
+        assert (products <= set(sigma)) is lawful, op
+
+
+@pytest.mark.parametrize("make", [lambda: dihedral(32), lambda: cyclic(64)], ids=["D32", "C64"])
+def test_a_rota_baxter_check_makes_n_rule_calls_per_descendent_generator(make, monkeypatch):
+    # a lawful map is checked on (e, e) and on the pairs (a, t), with t in
+    # the generating set T of its descendent group that groups._generators
+    # picks: n |T| + 1 rule calls, |T| <= log2 n, where a scan of every pair
+    # takes n^2 (4,096 here)
+    g = make()
+    n, e = len(g), g.identity_index
+    rng = random.Random(n)
+    ops = {law: enumerate_operators(g, law) for law in (Law.RB_PLUS, Law.RB_MINUS)}
+    calls = [0]
+    pair_rule = finite._pair_rule
+
+    def counting_pair_rule(*args):
+        rule = pair_rule(*args)
+
+        def count(*pair):
+            calls[0] += 1
+            return rule(*pair)
+        return count
+
+    monkeypatch.setattr(finite, "_pair_rule", counting_pair_rule)
+    for law, lawful in ops.items():
+        for op in rng.sample(lawful, min(len(lawful), 40)):
+            gens = groups._generators(descendent_table(g, op, law), e)
+            assert len(gens) <= n.bit_length() - 1
+            calls[0] = 0
+            assert check_identity(g, op, law) is None
+            assert calls[0] == n * len(gens) + 1, (law, op)
+
+
 def test_crossed_with_adjoint_equals_diff_plus():
     for g in (symmetric(3), dihedral(4)):
         act = adjoint_action(g)
@@ -572,6 +670,77 @@ def test_an_invalid_action_raises_after_a_valid_one():
                 enumerate_operators(group, Law.CROSSED, bad)
 
 
+def test_an_action_equal_to_a_valid_one_must_still_hold_element_indices(monkeypatch):
+    # the remembered action was compared by value, and False == 0: an action
+    # of bools passed once the equal action of ints had been validated, and
+    # the search found its maps twice.  Checked in both orders, from a
+    # fresh memo
+    g = cyclic(2)
+    ints = adjoint_action(g)
+    ops = enumerate_operators(g, Law.CROSSED, ints)
+    for bad, entry in [(((False, True), (False, True)), "False"), ([[0.0, 1], [0, 1]], "0.0")]:
+        message = rf"^action entry {entry} at \(e, e\) is not an element index$"
+        for ints_first in (True, False):
+            monkeypatch.setattr(finite, "_valid_action", None)
+            for action in ([ints, bad] if ints_first else [bad, ints, bad]):
+                if action is ints:
+                    assert check_identity(g, (0, 0), Law.CROSSED, action) is None
+                    assert enumerate_operators(g, Law.CROSSED, action) == ops
+                    continue
+                with pytest.raises(ValueError, match=message):
+                    check_identity(g, (0, 0), Law.CROSSED, action)
+                with pytest.raises(ValueError, match=message):
+                    enumerate_operators(g, Law.CROSSED, action)
+    # equal ints in new rows still pass without a new validation
+    monkeypatch.setattr(finite, "_valid_action", None)
+    assert check_identity(g, (0, 0), Law.CROSSED, ints) is None
+    monkeypatch.setattr(finite, "validate_action", None)
+    assert check_identity(g, (0, 0), Law.CROSSED, [list(row) for row in ints]) is None
+    assert check_identity(g, (0, 0), Law.CROSSED, ints) is None
+
+
+def action_axiom_error(g, action):
+    """Oracle for :func:`validate_action` on a square table of element
+    indices: the message of the first failing axiom, scanning every triple,
+    or None."""
+    n, e = len(g), g.identity_index
+    for x in range(n):
+        if action[e][x] != x:
+            return f"action of the identity moves {g.name(x)!r}"
+    for a, b, x in product(range(n), repeat=3):
+        if action[g.mul(a, b)][x] != action[a][action[b][x]]:
+            return (f"action is not compatible with multiplication at "
+                    f"({g.name(a)}, {g.name(b)}, {g.name(x)})")
+    return None
+
+
+@pytest.mark.parametrize("name", UP_TO_ORDER_12)
+def test_validate_action_names_the_first_failing_triple(name):
+    # validate_action checks compatibility on the middle elements in _gens
+    # and scans every triple only when that fails: on seeded perturbations
+    # of three valid actions it must name the full scan's first failure
+    g = UP_TO_ORDER_12[name]()
+    n = len(g)
+    rng = random.Random(name)
+    trivial = tuple(tuple(range(n)) for _ in range(n))
+    for base in (adjoint_action(g), left_regular_action(g), trivial):
+        assert action_axiom_error(g, base) is None
+        validate_action(g, base)
+        for _ in range(12):
+            action = [list(row) for row in base]
+            a, x, y = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.5:  # swap two images in a row: still a permutation
+                action[a][x], action[a][y] = action[a][y], action[a][x]
+            else:
+                action[a][x] = y
+            expected = action_axiom_error(g, action)
+            if expected is None:
+                validate_action(g, action)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    validate_action(g, action)
+
+
 # --- enumeration ---------------------------------------------------------------
 
 def brute_force_operators(g, law, action=None):
@@ -719,12 +888,6 @@ def test_enumeration_commutes_with_relabelling_past_order_8(name):
         ops = enumerate_operators(g, law, adjoint_action(g) if crossed else None)
         expected = sorted(tuple(pos[op[x]] for x in order) for op in ops)
         assert enumerate_operators(h, law, adjoint_action(h) if crossed else None) == expected, law
-
-
-def descendent_table(g, op):
-    """The products a∘b = a B(a) b B(a)^-1 of element indices."""
-    return [[g.mul(g.mul(g.mul(a, op[a]), b), g.inv(op[a])) for b in range(len(g))]
-            for a in range(len(g))]
 
 
 @pytest.mark.parametrize("make,endo,rb1", [(lambda: symmetric(4), 58, 100),
