@@ -8,7 +8,8 @@ operator of an exact factorization.  It re-exports the names of
 :mod:`opgroups.groups`.
 
 Carrier elements are the indices ``0..n-1`` of the element-name list; an
-operator map is a length-n tuple of image indices.
+operator map is a length-n tuple of image indices.  Any other carrier that
+can be enumerated is read into the :class:`FiniteGroup` of its table.
 
 Four of the six laws are homomorphisms in disguise, pair by pair: D is a
 weight 1 differential operator exactly when x -> D(x) x is an endomorphism,
@@ -16,9 +17,9 @@ a weight -1 one exactly when x -> D(x)^-1 x is, and f is a crossed
 homomorphism for an action by automorphisms exactly when x -> (f(x), x) is a
 homomorphism into the semidirect product.  A map that is multiplicative on
 the pairs (a, s), with s in a generating set, is multiplicative everywhere:
-the b with h(ab) = h(a) h(b) for all a are closed under the product.  So on a
-:class:`FiniteGroup` these laws are checked on the pairs whose right factor
-is in the group's generating set ``_gens``.
+the b with h(ab) = h(a) h(b) for all a are closed under the product.  So
+these laws are checked on the pairs whose right factor is in the group's
+generating set ``_gens``.
 
 The two Rota-Baxter laws are decided the same way in the descendent group of
 Guo, Lang & Sheng (arXiv:2009.03492), a∘b = a B(a) b B(a)^-1: the element
@@ -28,13 +29,13 @@ Guo, Lang & Sheng (arXiv:2009.03492), a∘b = a B(a) b B(a)^-1: the element
 under the product, so if B(e) = e and the law holds on the pairs (a, t), with
 t in a set T whose right ∘-products reach every element from e, it holds on
 every pair.  The weight -1 law is the same law read through g -> g^-1 (see
-:func:`convert_weight`), with c = C(a) b C(a)^-1 a.  So on a
-:class:`FiniteGroup` these laws are checked on the pair (e, e) and on the
-pairs (a, t), with T grown during the check: a breadth-first search from e
-reaches the ``c`` of each pair that holds, and the lowest-index element not
-yet reached becomes the next element of T.  A lawful map takes n |T| + 1
-rule calls, and |T| <= log2 n, as each new element of T at least doubles
-the subgroup of the descendent group reached.
+:func:`convert_weight`), with c = C(a) b C(a)^-1 a.  So these laws are
+checked on the pair (e, e) and on the pairs (a, t), with T grown during
+the check: a breadth-first search from e reaches the ``c`` of each pair
+that holds, and the lowest-index element not yet reached becomes the next
+element of T.  A lawful map takes n |T| + 1 rule calls, and |T| <= log2 n,
+as each new element of T at least doubles the subgroup of the descendent
+group reached.
 
 The operator search takes the branch points of its current path as the
 right factors of the pairs it propagates through.  Every image it sets by
@@ -50,12 +51,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from enum import Enum
 from itertools import chain
-from operator import is_
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .groups import (FiniteGroup, GroupTableError, _is_index, alternating, cyclic, dihedral,
-                     klein_four, quaternion, symmetric, validate_group)
+from .groups import (FiniteGroup, GroupTableError, _first_incompatible, _is_index, alternating,
+                     cyclic, dihedral, klein_four, quaternion, symmetric, validate_group)
 from .operated import OperatedTarget
 
 __all__ = [
@@ -104,6 +104,8 @@ def operator_from_names(group: FiniteGroup, images: Sequence[str]) -> tuple[int,
 
 
 def operator_to_names(group: FiniteGroup, op: Sequence[int]) -> tuple[str, ...]:
+    if len(op) != len(group):
+        raise ValueError(f"operator must list {len(group)} images, got {len(op)}")
     return tuple(group.name(i) for i in op)
 
 
@@ -138,53 +140,59 @@ class Law(str, Enum):
 _HOMOMORPHISM_LIKE = frozenset({Law.ENDO, Law.DIFF_PLUS, Law.DIFF_MINUS, Law.CROSSED})
 
 
+# the builder of each law's pair rule (see _pair_rule), from the Cayley table
+# rows, the inverse table inv and the crossed law's action
+_PAIR_RULES = {
+    Law.ENDO: lambda rows, inv, action: lambda a, p, b, q: (rows[a][b], rows[p][q]),
+    Law.DIFF_PLUS: lambda rows, inv, action: (
+        lambda a, p, b, q: (rows[a][b], rows[rows[rows[p][a]][q]][inv[a]])),
+    Law.DIFF_MINUS: lambda rows, inv, action: (
+        lambda a, p, b, q: (rows[a][b], rows[rows[rows[a][q]][inv[a]]][p])),
+    Law.CROSSED: lambda rows, inv, action: (
+        lambda a, p, b, q: (rows[a][b], rows[p][action[a][q]])),
+    # c = a B(a) b B(a)^-1
+    Law.RB_PLUS: lambda rows, inv, action: (
+        lambda a, p, b, q: (rows[a][rows[rows[p][b]][inv[p]]], rows[p][q])),
+    # c = C(a) b C(a)^-1 a
+    Law.RB_MINUS: lambda rows, inv, action: (
+        lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q])),
+}
+
+
 def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None:
     """Check that ``action`` is an n x n matrix of element indices that
     satisfies the left-action axioms act(e, x) = x and
     act(ab, x) = act(a, act(b, x))."""
     n = len(group)
-    if len(action) != n or any(len(row) != n for row in action):
-        raise ValueError(f"action must be an {n}x{n} matrix")
+    action = _action_rows(action, range(n))
     for g, row in enumerate(action):
         for x, v in enumerate(row):
             if not _is_index(v, n):
                 raise ValueError(f"action entry {v!r} at ({group.name(g)}, {group.name(x)}) "
                                  "is not an element index")
-    # the b with act(ab, x) = act(a, act(b, x)) for all a and x contain e,
-    # once act(e, .) fixes every x, and are closed under the product, so the
-    # generators decide the second axiom (as in F. W. Light's test, see
-    # FiniteGroup); only an action that fails there is scanned in full, so
-    # that the error names the first failing triple
-    rows, e = group._table, group.identity_index
-    action = tuple(map(tuple, action))
-    if action[e] != tuple(range(n)) or _first_incompatible(rows, action, group._gens):
-        _check_action_axioms(rows, e, action, group.name)
-
-
-def _first_incompatible(rows, action, middles) -> Optional[tuple[int, int, int]]:
-    # the first triple (a, b, x), with b in middles, at which a table of
-    # tuples breaks act(ab, x) = act(a, act(b, x))
-    for a, row_a in enumerate(rows):
-        act_a = action[a]
-        for b in middles:
-            left, right = action[row_a[b]], tuple(map(act_a.__getitem__, action[b]))
-            if left != right:
-                return a, b, next(x for x, v in enumerate(left) if v != right[x])
-    return None
-
-
-def _check_action_axioms(rows, e: int, action, name: Callable) -> None:
-    # the left-action axioms of an n x n table of tuples of element indices,
-    # on the Cayley table rows with identity index e, scanning every triple;
-    # name(i) names element i
-    for x, v in enumerate(action[e]):
+    for x, v in enumerate(action[group.identity_index]):
         if v != x:
-            raise ValueError(f"action of the identity moves {name(x)!r}")
-    bad = _first_incompatible(rows, action, range(len(rows)))
-    if bad is not None:
-        a, b, x = bad
+            raise ValueError(f"action of the identity moves {group.name(x)!r}")
+    # the b with act(ab, x) = act(a, act(b, x)) for all a and x contain e and
+    # are closed under the product, so the generators decide the second axiom
+    # (Light's test, see FiniteGroup); a full scan names the first failure
+    rows = group._table
+    if _first_incompatible(rows, action, group._gens) is not None:
+        a, b, x = _first_incompatible(rows, action, range(n))
         raise ValueError(f"action is not compatible with multiplication at "
-                         f"({name(a)}, {name(b)}, {name(x)})")
+                         f"({group.name(a)}, {group.name(b)}, {group.name(x)})")
+
+
+def _action_rows(action, elems) -> tuple:
+    # the rows (action[x][y] for y in elems) for x in elems, of an action
+    # indexed by the elements elems, once it is checked to be an n x n matrix
+    n = len(elems)
+    try:
+        if len(action) == n and all(len(action[x]) == n for x in elems):
+            return tuple(tuple(map(action[x].__getitem__, elems)) for x in elems)
+    except (LookupError, TypeError):
+        pass
+    raise ValueError(f"action must be an {n}x{n} matrix")
 
 
 # The last action that passed validate_action: its Cayley table, a snapshot
@@ -205,7 +213,7 @@ def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tupl
     table = group._table
     if memo is not None and action is memo[1] and table == memo[0]:
         return memo[1], memo[2]  # the snapshot itself, which cannot change
-    snapshot = tuple(map(tuple, action))
+    snapshot = _action_rows(action, range(len(table)))
     # equal by value is not enough, as False == 0 and 1.0 == 1 name no element
     if (memo is None or table != memo[0] or snapshot != memo[1]
             or {*map(type, chain.from_iterable(snapshot))} != {int}):
@@ -213,8 +221,8 @@ def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tupl
         by_automorphisms = _by_automorphisms(group, snapshot)
     else:
         by_automorphisms = memo[2]
-    if type(action) is tuple and all(map(is_, snapshot, action)):
-        snapshot = action  # kept as it is, so that passing it again is a hit
+    if type(action) is tuple and all(type(row) is tuple for row in action):
+        snapshot = action  # immutable as it is, so that passing it again is a hit
     _valid_action = table, snapshot, by_automorphisms
     return snapshot, by_automorphisms
 
@@ -252,31 +260,18 @@ def _pair_rule(rows, inv, law: Law, action) -> Callable:
     only, so once the images of ``a`` and ``b`` are known the image of
     ``c`` is forced.
     """
-    if law is Law.ENDO:
-        return lambda a, p, b, q: (rows[a][b], rows[p][q])
-    if law is Law.DIFF_PLUS:
-        return lambda a, p, b, q: (rows[a][b], rows[rows[rows[p][a]][q]][inv[a]])
-    if law is Law.DIFF_MINUS:
-        return lambda a, p, b, q: (rows[a][b], rows[rows[rows[a][q]][inv[a]]][p])
-    if law is Law.CROSSED:
-        if action is None:
-            raise ValueError("the crossed-homomorphism law needs an action")
-        return lambda a, p, b, q: (rows[a][b], rows[p][action[a][q]])
-    if law is Law.RB_PLUS:
-        # c = a B(a) b B(a)^-1
-        return lambda a, p, b, q: (rows[a][rows[rows[p][b]][inv[p]]], rows[p][q])
-    # Law.RB_MINUS, the last law: c = C(a) b C(a)^-1 a
-    return lambda a, p, b, q: (rows[rows[rows[p][b]][inv[p]]][a], rows[p][q])
+    return _PAIR_RULES[law](rows, inv, action)
 
 
 def _law_rule(group: FiniteGroup, law: Law, action) -> tuple[Callable, bool]:
     """The pair rule of ``law`` on ``group``, and whether the law must be
     checked on every pair: only a crossed law whose action is not by
-    automorphisms must; every other law is decided by a set of right
-    factors (see the module docstring).  The action of the crossed law is
-    checked by :func:`_checked_action`."""
+    automorphisms must (see the module docstring).  The action of the
+    crossed law is checked by :func:`_checked_action`."""
     every_pair = False
-    if action is not None and law is Law.CROSSED:
+    if law is Law.CROSSED:
+        if action is None:
+            raise ValueError("the crossed-homomorphism law needs an action")
         action, by_automorphisms = _checked_action(group, action)
         every_pair = not by_automorphisms
     return _pair_rule(group._table, group._inv, law, action), every_pair
@@ -330,26 +325,19 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     a :class:`FiniteGroup`, a tuple; a tuple of the wrong length, an element
     with no image and an image outside the carrier raise ValueError.
 
-    Each pair is tested by the law's pair rule (the one the operator search
-    uses), on the Cayley table of a :class:`FiniteGroup` or, for any other
-    carrier, on a table of its elements built with ``group.mul`` and
-    ``group.inv``.  On a :class:`FiniteGroup` the law is first tested on the
-    pairs that decide it (see the module docstring): the pairs whose right
-    factor is in the group's generating set, for the endomorphism and both
-    differential laws, and for the crossed law under an action by
-    automorphisms; the pair (e, e) and the pairs whose right factor is in a
-    generating set of the descendent group, for both Rota-Baxter laws.  Only
-    a map that breaks the law there, or a crossed law under an action that
-    is not by automorphisms, is scanned over every pair, for the first
-    broken pair in element order.  Any other carrier is scanned over every
-    pair, as its table is not validated as a group.  The action of the
-    crossed law is checked as :func:`validate_action` checks it: its shape,
-    each entry and the action axioms.  On a :class:`FiniteGroup` the last
-    action that passed is remembered, with the table and whether it is by
-    automorphisms, so checking many operators against one action validates
-    it once: the same tuple of tuples, or an equal action of ints, is not
-    validated again.  On any other carrier, whose action is indexed by its
-    elements, it is checked on every call.
+    Any other carrier is read, on every call, into the :class:`FiniteGroup`
+    of its table, named by its elements (an action is indexed by them):
+    ``group.mul`` must stay in it, ``group.identity()`` and ``group.inv``
+    must give its identity and inverses, and a table that is not a group
+    raises GroupTableError.  The law's pair rule, the one the operator search uses,
+    runs first on the pairs that decide the law (see the module docstring);
+    only a map that breaks it there, or a crossed law under an action that
+    is not by automorphisms, is scanned over every pair for the first broken
+    one.  The crossed law's action is checked as :func:`validate_action`
+    checks it, and the last action that passed is remembered with the
+    table, so checking many operators against one action validates it once:
+    the same tuple of tuples, or an equal action of ints, is not validated
+    again.
     """
     law = Law(law)
     elems = list(group.iter_elements())
@@ -361,33 +349,25 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
             ys.append(images[x])
         except (LookupError, TypeError):  # a dict without x, or a sequence x does not index
             raise ValueError(f"the operator has no image of {x!r}") from None
-    finite = isinstance(group, FiniteGroup)
-    if finite:
+    n = len(elems)
+    if isinstance(group, FiniteGroup):
         # an image is an index: a bool or 1.0 equals one, but names no element
-        n = len(elems)
         ims = [y if _is_index(y, n) else None for y in ys]
     else:
-        pos = {x: i for i, x in enumerate(elems)}
-        ims = [_position(pos, y) for y in ys]
+        group, action = _carrier_group(group, elems, action if law is Law.CROSSED else None)
+        ims = [_position(group._index, y) for y in ys]
     if None in ims:
         i = ims.index(None)
         raise ValueError(f"the image {ys[i]!r} of {elems[i]!r} is not an element")
-    if finite:
-        rule, every_pair = _law_rule(group, law, action)
-        if every_pair:
-            bad = _first_broken(rule, ims, range(n))
-        else:
-            if law in _HOMOMORPHISM_LIKE:
-                bad = _first_broken(rule, ims, group._gens)
-            else:
-                bad = _broken_in_descendent(rule, ims, group.identity_index)
-            if bad is not None:  # the first broken pair of all
-                bad = _first_broken(rule, ims, range(n))
+    rule, every_pair = _law_rule(group, law, action)
+    if every_pair:
+        bad = _first_broken(rule, ims, range(n))
+    elif law in _HOMOMORPHISM_LIKE:
+        bad = _first_broken(rule, ims, group._gens)
     else:
-        rows, inv = _carrier_tables(group, elems, pos)
-        if law is Law.CROSSED and action is not None:
-            action = _carrier_action(group, action, elems, pos, rows)
-        bad = _first_broken(_pair_rule(rows, inv, law, action), ims, range(len(elems)))
+        bad = _broken_in_descendent(rule, ims, group.identity_index)
+    if bad is not None and not every_pair:  # the first broken pair of all
+        bad = _first_broken(rule, ims, range(n))
     return None if bad is None else (elems[bad[0]], elems[bad[1]])
 
 
@@ -399,54 +379,48 @@ def _position(pos: dict, x) -> Optional[int]:
         return None
 
 
-def _carrier_tables(group, elems: list, pos: dict) -> tuple[list, list]:
-    # the Cayley and inverse tables of an enumerable carrier, by element
-    # index, naming a product or an inverse that leaves the carrier
-    rows = [[pos.get(group.mul(x, y)) for y in elems] for x in elems]
+def _carrier_group(carrier, elems: list, action) -> tuple[FiniteGroup, Optional[tuple]]:
+    # an enumerable carrier as the FiniteGroup of its table, named by its
+    # elements, and an action indexed by them as a table of element indices;
+    # the carrier's identity and inverses must be the table's, as the
+    # evaluators use them
+    pos = {x: i for i, x in enumerate(elems)}
+    rows = [[_position(pos, carrier.mul(x, y)) for y in elems] for x in elems]
     for x, row in zip(elems, rows):
         if None in row:
             y = elems[row.index(None)]
             raise ValueError(f"the carrier is not closed: the product of {x!r} and {y!r} "
-                             f"is {group.mul(x, y)!r}, not an element")
-    inv = [pos.get(group.inv(x)) for x in elems]
-    if None in inv:
-        x = elems[inv.index(None)]
-        raise ValueError(f"the carrier is not closed: the inverse of {x!r} "
-                         f"is {group.inv(x)!r}, not an element")
-    return rows, inv
-
-
-def _carrier_action(group, action, elems: list, pos: dict, rows: list) -> list:
-    # the action of an enumerable carrier, indexed by its elements, as a
-    # table of element indices, checked as validate_action checks one
-    n = len(elems)
-    try:
-        cells = [[action[x][y] for y in elems] for x in elems]
-    except (LookupError, TypeError):
-        cells = None
-    if cells is None or len(action) != n or any(len(action[x]) != n for x in elems):
-        raise ValueError(f"action must be an {n}x{n} matrix")
-    table = [tuple(_position(pos, v) for v in row) for row in cells]
-    for x, row in zip(elems, table):
-        if None in row:
-            y = elems[row.index(None)]
-            raise ValueError(f"action entry {action[x][y]!r} at ({x!r}, {y!r}) is not an element")
-    e = pos.get(group.identity())
-    if e is None:
-        raise ValueError(f"the identity {group.identity()!r} is not an element")
-    _check_action_axioms(rows, e, table, elems.__getitem__)
-    return table
+                             f"is {carrier.mul(x, y)!r}, not an element")
+    for x in elems:
+        if _position(pos, carrier.inv(x)) is None:
+            raise ValueError(f"the carrier is not closed: the inverse of {x!r} "
+                             f"is {carrier.inv(x)!r}, not an element")
+    group = FiniteGroup._closed(elems, rows)
+    e = _position(pos, carrier.identity())
+    if e != group.identity_index:
+        raise ValueError(f"the identity {carrier.identity()!r} is not "
+                         + ("an element" if e is None else "the identity of its table"))
+    for x, i in zip(elems, group._inv):
+        if carrier.inv(x) != elems[i]:
+            raise ValueError(f"the inverse of {x!r} is {elems[i]!r}, not {carrier.inv(x)!r}")
+    if action is not None:
+        cells = _action_rows(action, elems)
+        action = tuple(tuple(_position(pos, v) for v in row) for row in cells)
+        for x, row, cell_row in zip(elems, action, cells):
+            if None in row:
+                y = row.index(None)
+                raise ValueError(f"action entry {cell_row[y]!r} at ({x!r}, {elems[y]!r}) "
+                                 "is not an element")
+    return group, action
 
 
 def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
                    action: Optional[Sequence[Sequence[int]]] = None
                    ) -> Optional[tuple[str, str]]:
-    """Test the law over all ordered pairs.
-
-    Returns None when the law holds everywhere, else the first violating
-    pair of element names in element order.  :func:`first_violation`
-    checks the images and validates the action of the crossed law.
-    """
+    """The first pair of element names, in element order, at which ``op``
+    breaks the law, or None when it holds everywhere.  :func:`first_violation`
+    finds it from the pairs that decide the law, checks the images and
+    validates the action of the crossed law."""
     bad = first_violation(group, op, law, action)
     return None if bad is None else (group.name(bad[0]), group.name(bad[1]))
 
@@ -454,8 +428,9 @@ def check_identity(group: FiniteGroup, op: Sequence[int], law: Law,
 class LawTarget(OperatedTarget):
     """An operated target whose ``op`` satisfies the subclass's ``law`` (named
     ``rule`` in errors), checked by :func:`first_violation` on a table of
-    ``op`` over ``group.iter_elements()``.  Into a carrier that cannot be
-    enumerated, evaluate through an unchecked :class:`OperatedTarget`."""
+    ``op`` over ``group.iter_elements()``, which must be a group.  Into a
+    carrier that cannot be enumerated, evaluate through an unchecked
+    :class:`OperatedTarget`."""
 
     law: Law
     rule: str
@@ -705,7 +680,9 @@ def load_group_file(path) -> GroupData:
 def dump_group_file(path, group: FiniteGroup, *, operator: Optional[Sequence[int]] = None,
                     action: Optional[Sequence[Sequence[int]]] = None,
                     subgroups: Optional[dict[str, Sequence[int]]] = None) -> None:
-    """Write a group file readable by :func:`load_group_file`."""
+    """Write a group file readable by :func:`load_group_file`.  An operator,
+    action or subgroup member that it would refuse or misread raises
+    ValueError before the file is opened."""
     import yaml
     data: dict = {
         "elements": list(group.elements),
@@ -714,6 +691,7 @@ def dump_group_file(path, group: FiniteGroup, *, operator: Optional[Sequence[int
     if operator is not None:
         data["operator"] = list(operator_to_names(group, operator))
     if action is not None:
+        validate_action(group, action)
         data["action"] = [[group.name(x) for x in row] for row in action]
     if subgroups is not None:
         data["subgroups"] = {k: [group.name(i) for i in v] for k, v in subgroups.items()}

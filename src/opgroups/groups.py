@@ -1,6 +1,7 @@
 """Finite groups given by validated Cayley tables, and the standard small
 groups.  Elements are the indices ``0..n-1`` of the element-name list.  The
-operator laboratory on these groups, :mod:`opgroups.finite`, re-exports them.
+operator laboratory, :mod:`opgroups.finite`, re-exports them, and reads any
+other enumerable carrier into the group of its table (``FiniteGroup._closed``).
 """
 
 from __future__ import annotations
@@ -50,13 +51,16 @@ def _generators(rows, e: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _first_nonassociative(rows, middles) -> Optional[tuple[int, int, int]]:
-    # the first triple (a, b, c), with b in middles, at which (ab)c != a(bc)
+def _first_incompatible(rows, action, middles) -> Optional[tuple[int, int, int]]:
+    # the first triple (a, b, x), with b in middles, at which a table of
+    # tuples breaks act(ab, x) = act(a, act(b, x)) on the Cayley table rows;
+    # with action = rows, the first at which (ab)x != a(bx)
     for a, row_a in enumerate(rows):
+        act_a = action[a]
         for b in middles:
-            left, right = rows[row_a[b]], tuple(map(row_a.__getitem__, rows[b]))
+            left, right = action[row_a[b]], tuple(map(act_a.__getitem__, action[b]))
             if left != right:
-                return a, b, next(c for c, x in enumerate(left) if x != right[c])
+                return a, b, next(x for x, v in enumerate(left) if v != right[x])
     return None
 
 
@@ -80,6 +84,8 @@ class FiniteGroup:
     failing one.  ``opgroups.finite`` checks the action axioms and the
     homomorphism-like operator laws on the same set, and the Rota-Baxter
     laws on a generating set of the descendent group, found the same way.
+    ``_closed`` runs the same axiom checks on the table of any enumerable
+    carrier, named by its elements, of any order.
     """
 
     def __init__(self, elements: Sequence[str], table: Sequence[Sequence[int]]):
@@ -99,35 +105,40 @@ class FiniteGroup:
                     raise GroupTableError(f"table is not closed: entry {x!r} at "
                                           f"({names[a]}, {names[b]}) is not an element index")
 
+        self._adopt(names, rows)
+
+    @classmethod
+    def _closed(cls, names: Sequence, rows: Sequence[Sequence[int]]) -> FiniteGroup:
+        # the group on a closed n x n table of element indices, with any
+        # distinct hashable names, of any order
+        return cls.__new__(cls)._adopt(tuple(names), tuple(map(tuple, rows)))
+
+    def _adopt(self, names: tuple, rows: tuple) -> FiniteGroup:
+        # self, once a closed table passes the axiom checks: identity,
+        # inverses, and associativity by Light's test on the generators
+        n = len(names)
         self.elements = names
         self._table = rows
         self._index = {s: i for i, s in enumerate(names)}
-
-        ident = None
-        for e in range(n):
-            if all(rows[e][j] == j and rows[j][e] == j for j in range(n)):
-                ident = e
-                break
+        ident = next((e for e in range(n)
+                      if all(rows[e][j] == j and rows[j][e] == j for j in range(n))), None)
         if ident is None:
             raise GroupTableError("no identity element")
         self.identity_index = ident
 
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if rows[i][j] == ident and rows[j][i] == ident:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
-                raise GroupTableError(f"element {names[i]!r} has no inverse")
+        inv = [next((j for j in range(n) if rows[i][j] == ident and rows[j][i] == ident), None)
+               for i in range(n)]
+        if None in inv:
+            raise GroupTableError(f"element {names[inv.index(None)]!r} has no inverse")
         self._inv = tuple(inv)
 
         self._gens = _generators(rows, ident)
-        if _first_nonassociative(rows, self._gens) is not None:
-            a, b, c = _first_nonassociative(rows, range(n))
+        if _first_incompatible(rows, rows, self._gens) is not None:
+            a, b, c = _first_incompatible(rows, rows, range(n))
             raise GroupTableError(f"associativity fails at ({names[a]}, {names[b]}, {names[c]})")
 
         self._abelian = all(rows[a][b] == rows[b][a] for a in range(n) for b in range(a))
+        return self
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -159,6 +170,8 @@ class FiniteGroup:
             raise ValueError(f"unknown element name {name!r}") from None
 
     def name(self, i: int) -> str:
+        if not _is_index(i, len(self.elements)):
+            raise ValueError(f"{i!r} is not an element index")
         return self.elements[i]
 
 

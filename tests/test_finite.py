@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -237,13 +238,17 @@ def test_the_crossed_law_needs_an_action_everywhere():
     ([[0]], r"^action must be an 3x3 matrix$"),
     ([[0, 1, 2], [1, 2, 7], [2, 0, 1]], r"^action entry 7 at \(a, a2\) is not an element index$"),
     ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], r"^action is not compatible with multiplication at "),
-], ids=["shape", "entry", "axiom"])
+    ([0, 1, 2], r"^action must be an 3x3 matrix$"),
+    ([[0, 1, 2], None, [2, 0, 1]], r"^action must be an 3x3 matrix$"),
+], ids=["shape", "entry", "axiom", "row-of-ints", "none-row"])
 def test_every_law_check_validates_the_action(action, message):
-    # first_violation used to index a short matrix and raise IndexError
+    # first_violation used to index a short matrix and raise IndexError, and
+    # a row of ints raised a bare TypeError in every check
     g = cyclic(3)
     for check in (lambda: first_violation(g, (0, 0, 0), Law.CROSSED, action),
                   lambda: check_identity(g, (0, 0, 0), Law.CROSSED, action),
-                  lambda: enumerate_operators(g, Law.CROSSED, action)):
+                  lambda: enumerate_operators(g, Law.CROSSED, action),
+                  lambda: validate_action(g, action)):
         with pytest.raises(ValueError, match=message):
             check()
 
@@ -470,12 +475,22 @@ def test_a_map_is_rota_baxter_exactly_when_its_graph_is_closed(name):
         assert (products <= set(sigma)) is lawful, op
 
 
-@pytest.mark.parametrize("make", [lambda: dihedral(32), lambda: cyclic(64)], ids=["D32", "C64"])
-def test_a_rota_baxter_check_makes_n_rule_calls_per_descendent_generator(make, monkeypatch):
+def as_carrier(g):
+    """``g`` seen through the carrier interface only, not as a FiniteGroup."""
+    return SimpleNamespace(identity=g.identity, mul=g.mul, inv=g.inv,
+                           iter_elements=g.iter_elements)
+
+
+@pytest.mark.parametrize("make,carrier", [(lambda: dihedral(32), False),
+                                          (lambda: cyclic(64), False),
+                                          (lambda: dihedral(32), True)],
+                         ids=["D32", "C64", "D32-carrier"])
+def test_a_rota_baxter_check_makes_n_rule_calls_per_descendent_generator(make, carrier,
+                                                                         monkeypatch):
     # a lawful map is checked on (e, e) and on the pairs (a, t), with t in
     # the generating set T of its descendent group that groups._generators
     # picks: n |T| + 1 rule calls, |T| <= log2 n, where a scan of every pair
-    # takes n^2 (4,096 here)
+    # takes n^2 (4,096 here, as a carrier that is not a FiniteGroup took)
     g = make()
     n, e = len(g), g.identity_index
     rng = random.Random(n)
@@ -497,7 +512,10 @@ def test_a_rota_baxter_check_makes_n_rule_calls_per_descendent_generator(make, m
             gens = groups._generators(descendent_table(g, op, law), e)
             assert len(gens) <= n.bit_length() - 1
             calls[0] = 0
-            assert check_identity(g, op, law) is None
+            if carrier:
+                assert first_violation(as_carrier(g), dict(enumerate(op)), law) is None
+            else:
+                assert check_identity(g, op, law) is None
             assert calls[0] == n * len(gens) + 1, (law, op)
 
 
@@ -611,6 +629,54 @@ def test_a_carrier_that_is_not_closed_is_named():
 
     with pytest.raises(ValueError, match=r"not closed: the inverse of 1 is -1, not an element"):
         first_violation(OpenInverse(), {0: 0, 1: 0, 2: 0}, Law.DIFF_PLUS)
+
+    # an unhashable product or inverse raised a bare TypeError
+    class UnhashableProduct(Open):
+        def mul(self, a, b):
+            return [a] if (a, b) == (1, 2) else (a + b) % 3
+
+    class UnhashableInverse(OpenInverse):
+        def inv(self, a):
+            return [a] if a == 2 else -a % 3
+
+    for carrier, message in [(UnhashableProduct(), r"the product of 1 and 2 is \[1\]"),
+                             (UnhashableInverse(), r"the inverse of 2 is \[2\]")]:
+        with pytest.raises(ValueError, match=rf"^the carrier is not closed: {message}, not an "):
+            first_violation(carrier, {0: 0, 1: 0, 2: 0}, Law.ENDO)
+
+
+def test_a_carrier_is_checked_as_the_group_of_its_table():
+    # a carrier that is not a FiniteGroup was scanned pair by pair with no
+    # group check; it is now read into the FiniteGroup of its table
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]  # the smallest loop that is not a group
+    c5 = SimpleNamespace(identity=lambda: 0, mul=lambda a, b: loop[a][b], inv=lambda a: a,
+                         iter_elements=lambda: range(5))
+    with pytest.raises(GroupTableError, match=r"^associativity fails at \(1, 1, 2\)$"):
+        first_violation(c5, dict.fromkeys(range(5), 0), Law.ENDO)
+    # identity() is checked for every law, not only for the crossed one
+    zero = dict.fromkeys(range(3), 0)
+    for identity, message in [(3, "an element"), (1, "the identity of its table")]:
+        c3 = SimpleNamespace(identity=lambda: identity, mul=lambda a, b: (a + b) % 3,
+                             inv=lambda a: -a % 3, iter_elements=lambda: range(3))
+        for law in Law:
+            action = [[0, 1, 2]] * 3 if law is Law.CROSSED else None
+            with pytest.raises(ValueError, match=rf"^the identity {identity} is not {message}$"):
+                first_violation(c3, zero, law, action)
+    # and inv must give the table's inverses, as the evaluators call it:
+    # inv(a) = a on C3 passed an endo check, and a check that used the
+    # table's inverses alone would build a DiffTarget that takes x^-1 to x
+    c3 = SimpleNamespace(identity=lambda: 0, mul=lambda a, b: (a + b) % 3, inv=lambda a: a,
+                         iter_elements=lambda: range(3))
+    for law in Law:
+        action = [[0, 1, 2]] * 3 if law is Law.CROSSED else None
+        with pytest.raises(ValueError, match=r"^the inverse of 1 is 2, not 1$"):
+            first_violation(c3, zero, law, action)
+    # no order bound: FiniteGroup refuses order 100, the carrier is checked
+    c100 = SimpleNamespace(identity=lambda: 0, mul=lambda a, b: (a + b) % 100,
+                           inv=lambda a: -a % 100, iter_elements=lambda: range(100))
+    assert first_violation(c100, {x: 3 * x % 100 for x in range(100)}, Law.ENDO) is None
+    assert first_violation(c100, {x: x * x % 100 for x in range(100)}, Law.ENDO) == (1, 1)
 
 
 @pytest.mark.parametrize("name", ["opgroups", "opgroups.words", "opgroups.operated",
@@ -791,6 +857,32 @@ def test_enumeration_matches_prefix_search(name):
             ops = enumerate_operators(h, law, action)
             assert ops == sorted(ops), (order, law)
             assert ops == enumerate_operators_prefix(h, law, action), (order, law)
+
+
+BUILT_IN_UP_TO_ORDER_24 = [*(lambda n=n: cyclic(n) for n in range(1, 25)),
+                           *(lambda n=n: dihedral(n) for n in range(2, 13)),
+                           klein_four, quaternion, lambda: alternating(4), lambda: symmetric(4)]
+
+
+def test_operator_counts_on_the_built_in_groups_up_to_order_24():
+    # the operator counts on each of the 39 built-in groups of order <= 24:
+    # D -> (x -> D(x) x) and D -> (x -> D(x)^-1 x) are bijections from the
+    # diff1 and diff-1 operators onto the endomorphisms, crossed
+    # homomorphisms under conjugation are the diff1 operators, and
+    # convert_weight swaps rb1 and rb-1
+    totals = dict.fromkeys(Law, 0)
+    for make in BUILT_IN_UP_TO_ORDER_24:
+        g = make()
+        counts = {law: len(enumerate_operators(g, law, adjoint_action(g) if law is Law.CROSSED
+                                               else None)) for law in Law}
+        assert (counts[Law.ENDO] == counts[Law.DIFF_PLUS] == counts[Law.DIFF_MINUS]
+                == counts[Law.CROSSED]), (g, counts)
+        assert counts[Law.RB_PLUS] == counts[Law.RB_MINUS], (g, counts)
+        for law in Law:
+            totals[law] += counts[law]
+    assert len(BUILT_IN_UP_TO_ORDER_24) == 39
+    assert totals == {Law.ENDO: 1281, Law.DIFF_PLUS: 1281, Law.DIFF_MINUS: 1281,
+                      Law.CROSSED: 1281, Law.RB_PLUS: 1226, Law.RB_MINUS: 1226}
 
 
 def test_enumeration_counts_z2_z3():
@@ -993,6 +1085,24 @@ def test_group_file_round_trip(tmp_path):
     assert data.operator == inversion_operator(data.group)
     assert set(data.subgroups) == {"rot"}
     assert len(data.subgroups["rot"]) == 4
+    # each of these was written, then misread (-1 as a2, -2 as a) or refused
+    # on load; an image 5 raised a bare IndexError
+    c3, path = cyclic(3), tmp_path / "c3.grp"
+    swapped = ((0, 1, 2), (0, 2, 1), (0, 1, 2))  # act(a, .) swaps a and a2 but act(a2, .) not
+    for extra, message in [({"operator": (0, -1, 0)}, r"^-1 is not an element index$"),
+                           ({"operator": (0, 5, 0)}, r"^5 is not an element index$"),
+                           ({"operator": (0, 1)}, r"^operator must list 3 images, got 2$"),
+                           ({"subgroups": {"h": [0, -2]}}, r"^-2 is not an element index$"),
+                           ({"action": swapped}, r"^action is not compatible with multiplication "),
+                           ({"action": [0, 1, 2]}, r"^action must be an 3x3 matrix$")]:
+        with pytest.raises(ValueError, match=message):
+            dump_group_file(path, c3, **extra)
+        assert not path.exists(), extra
+    for i in (-1, 3, True, 1.0):
+        with pytest.raises(ValueError, match=rf"^{i!r} is not an element index$"):
+            c3.name(i)
+    with pytest.raises(ValueError, match=r"^5 is not an element index$"):
+        operator_to_names(c3, (0, 5, 0))
 
 
 def test_group_file_rejects_unknown_keys(tmp_path):
