@@ -54,8 +54,9 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .groups import (FiniteGroup, GroupTableError, _first_incompatible, _is_index, alternating,
-                     cyclic, dihedral, klein_four, quaternion, symmetric, validate_group)
+from .groups import (FiniteGroup, GroupTableError, _all_indices, _first_incompatible, _is_index,
+                     alternating, cyclic, dihedral, klein_four, quaternion, symmetric,
+                     validate_group)
 from .operated import OperatedTarget
 
 __all__ = [
@@ -343,16 +344,19 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     elems = list(group.iter_elements())
     if not isinstance(images, Mapping) and len(images) != len(elems):
         raise ValueError(f"operator must have {len(elems)} images, got {len(images)}")
-    ys = []
-    for x in elems:
-        try:
-            ys.append(images[x])
-        except (LookupError, TypeError):  # a dict without x, or a sequence x does not index
-            raise ValueError(f"the operator has no image of {x!r}") from None
+    try:
+        ys = [images[x] for x in elems]
+    except (LookupError, TypeError):  # a dict without x, or a sequence x does not index
+        for x in elems:
+            try:
+                images[x]
+            except (LookupError, TypeError):
+                raise ValueError(f"the operator has no image of {x!r}") from None
+        raise
     n = len(elems)
     if isinstance(group, FiniteGroup):
         # an image is an index: a bool or 1.0 equals one, but names no element
-        ims = [y if _is_index(y, n) else None for y in ys]
+        ims = ys if _all_indices(ys, n) else [y if _is_index(y, n) else None for y in ys]
     else:
         group, action = _carrier_group(group, elems, action if law is Law.CROSSED else None)
         ims = [_position(group._index, y) for y in ys]
@@ -465,12 +469,13 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     queue; taking ``k`` off the queue runs the rule on the pairs ``(k, a)``
     and ``(a, k)``, for ``k`` and every element taken off before it, whose
     second element is a right factor.  A forced image of an element without
-    one is set and queued, and a forced image that differs from the one
-    already set prunes the branch.  So on each path every pair whose second
-    element is a branch point is checked exactly once.  Every forced element
-    is the ``c`` of such a pair, so on a complete path the branch points
-    reach every element from the identity and decide the law (see the
-    module docstring): the maps found are exactly those satisfying the law.
+    one is set and queued at once, and the first forced image that differs
+    from the one already set prunes the branch.  So on each complete path
+    every pair whose second element is a branch point is checked exactly
+    once.  Every forced element is the ``c`` of such a pair, so on a
+    complete path the branch points reach every element from the identity
+    and decide the law (see the module docstring): the maps found are
+    exactly those satisfying the law.
     For the homomorphism-like laws the branch points are the group's
     ``_gens``.  For the Rota-Baxter laws the pairs left out neither force an
     image nor prune a branch that the others leave, so the tree is the one
@@ -484,12 +489,14 @@ def enumerate_operators(group: FiniteGroup, law: Law,
     law = Law(law)
     n = len(group)
     rule, every_pair = _law_rule(group, law, action)
-    is_right = [every_pair] * n
 
     images: list[Optional[int]] = [None] * n
     # the elements with an image, in the order they got it: the queue, the
     # elements taken off it (a prefix) and the trail undone on backtracking
     trail: list[int] = []
+    # the branch points of the current path, in path order: the right factors
+    # among the elements taken off the queue, unless every element is one
+    branches: list[int] = []
     found: list[tuple[int, ...]] = []
     left = ENUM_NODE_BUDGET  # the images still to try at branch points
 
@@ -503,17 +510,26 @@ def enumerate_operators(group: FiniteGroup, law: Law,
             pk = images[k]
             head += 1
             # the (c, v) forced by the needed pairs of k with itself and with
-            # each element taken off the queue before it
-            forced = [rule(k, pk, a, images[a]) for a in trail[:head] if is_right[a]]
-            if is_right[k]:
-                forced += [rule(a, images[a], k, pk) for a in trail[:head - 1]]
-            for c, v in forced:
+            # each element taken off the queue before it, each set as it is
+            # found: every a here has its image already, so a forced image
+            # changes no later pair, and the first conflict prunes the branch
+            for a in trail[:head] if every_pair else branches:
+                c, v = rule(k, pk, a, images[a])
                 pc = images[c]
                 if pc is None:
                     images[c] = v
                     trail.append(c)
                 elif pc != v:
                     return False
+            if every_pair or k == x and branches:  # k is a right factor, the branch point x
+                for a in trail[:head - 1]:
+                    c, v = rule(a, images[a], k, pk)
+                    pc = images[c]
+                    if pc is None:
+                        images[c] = v
+                        trail.append(c)
+                    elif pc != v:
+                        return False
         return True
 
     def extend(x: int) -> None:
@@ -528,14 +544,14 @@ def enumerate_operators(group: FiniteGroup, law: Law,
             raise EnumerationBudgetError(f"the {law.value} search on a group of order {n} "
                                          f"tries more than {ENUM_NODE_BUDGET} images")
         mark = len(trail)
-        is_right[x] = True  # a right factor while the branch below runs
+        branches.append(x)  # a right factor while the branch below runs
         for p in range(n):
             if propagate(x, p):
                 extend(x + 1)
             for y in trail[mark:]:
                 images[y] = None
             del trail[mark:]
-        is_right[x] = every_pair
+        branches.pop()
 
     e = group.identity_index
     if propagate(e, e):  # always: no pair (e, e) breaks a law at e -> e
@@ -549,9 +565,10 @@ def convert_weight(op: Sequence[int], group: FiniteGroup) -> tuple[int, ...]:
     n = len(group)
     if len(op) != n:
         raise ValueError(f"operator must have {n} images, got {len(op)}")
-    for i, x in enumerate(op):
-        if not _is_index(x, n):
-            raise ValueError(f"the image {x!r} of {i!r} is not an element")
+    if not _all_indices(op, n):
+        for i, x in enumerate(op):
+            if not _is_index(x, n):
+                raise ValueError(f"the image {x!r} of {i!r} is not an element")
     return tuple(map(op.__getitem__, group._inv))
 
 

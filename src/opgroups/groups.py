@@ -6,7 +6,8 @@ other enumerable carrier into the group of its table (``FiniteGroup._closed``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 __all__ = ["FiniteGroup", "GroupTableError", "alternating", "cyclic", "dihedral", "klein_four",
            "quaternion", "symmetric", "validate_group"]
@@ -29,6 +30,17 @@ def _check_names(names: Sequence) -> None:
 def _is_index(x, n: int) -> bool:
     # an element index of a group of order n; a bool is an int, but names no element
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
+
+
+def _all_indices(xs: Iterable, n: int) -> bool:
+    # whether xs holds only element indices of a group of order n, as plain
+    # ints, in one pass that stops at the first other entry; a caller runs
+    # _is_index on the entries only when it is False, to accept an int
+    # subclass or to name the first entry that is no index
+    for x in xs:
+        if type(x) is not int or not 0 <= x < n:
+            return False
+    return True
 
 
 def _generators(rows, e: int) -> tuple[int, ...]:
@@ -99,11 +111,12 @@ class FiniteGroup:
         rows = tuple(tuple(row) for row in table)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GroupTableError(f"table is not {n}x{n}")
-        for a, row in enumerate(rows):
-            for b, x in enumerate(row):
-                if not _is_index(x, n):
-                    raise GroupTableError(f"table is not closed: entry {x!r} at "
-                                          f"({names[a]}, {names[b]}) is not an element index")
+        if not _all_indices(chain.from_iterable(rows), n):
+            for a, row in enumerate(rows):
+                for b, x in enumerate(row):
+                    if not _is_index(x, n):
+                        raise GroupTableError(f"table is not closed: entry {x!r} at "
+                                              f"({names[a]}, {names[b]}) is not an element index")
 
         self._adopt(names, rows)
 
@@ -120,16 +133,23 @@ class FiniteGroup:
         self.elements = names
         self._table = rows
         self._index = {s: i for i, s in enumerate(names)}
-        ident = next((e for e in range(n)
-                      if all(rows[e][j] == j and rows[j][e] == j for j in range(n))), None)
+        ids = tuple(range(n))
+        ident = next((e for e, row in enumerate(rows)
+                      if row == ids and tuple(r[e] for r in rows) == ids), None)
         if ident is None:
             raise GroupTableError("no identity element")
         self.identity_index = ident
 
-        inv = [next((j for j in range(n) if rows[i][j] == ident and rows[j][i] == ident), None)
-               for i in range(n)]
-        if None in inv:
-            raise GroupTableError(f"element {names[inv.index(None)]!r} has no inverse")
+        inv = []
+        for i, row in enumerate(rows):
+            # the first j with ij = ji = e: in a group, the first j with ij = e;
+            # in a table that is no group, a later j may be the first two-sided one
+            j = row.index(ident) if ident in row else n
+            if j < n and rows[j][i] != ident:
+                j = next((k for k in range(j + 1, n) if row[k] == ident and rows[k][i] == ident), n)
+            if j == n:
+                raise GroupTableError(f"element {names[i]!r} has no inverse")
+            inv.append(j)
         self._inv = tuple(inv)
 
         self._gens = _generators(rows, ident)
@@ -180,16 +200,18 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> F
     names = list(elements)
     _check_names(names)
     pos = {s: i for i, s in enumerate(names)}
-    rows = []
-    for row in table:
-        out = []
-        for entry in row:
-            try:
-                out.append(pos[entry])
-            except (KeyError, TypeError):  # an unhashable entry names no element either
-                raise GroupTableError(
-                    f"table is not closed: {entry!r} is not a declared element") from None
-        rows.append(out)
+    try:
+        rows = [tuple(map(pos.__getitem__, row)) for row in table]
+    except (KeyError, TypeError):  # an unhashable entry names no element either
+        # the first entry that names no element, in row order
+        for row in table:
+            for entry in row:
+                try:
+                    pos[entry]
+                except (KeyError, TypeError):
+                    raise GroupTableError(
+                        f"table is not closed: {entry!r} is not a declared element") from None
+        raise
     return FiniteGroup(names, rows)
 
 

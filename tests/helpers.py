@@ -1,20 +1,33 @@
 """Seeded random generators for words of the three theories, shared by the
-unit tests and the acceptance suite, and test oracles for the products, the
-powers, the law checks and the operator search."""
+unit tests and the acceptance suite, test oracles for the products, the
+powers, the law checks and the operator search, the built-in groups up to
+order 24 and a view of a group through its carrier methods alone."""
 
 from __future__ import annotations
 
 import builtins
 import random
 from itertools import chain, repeat
+from types import SimpleNamespace
 from typing import Optional
 
 from opgroups.differential import DiffLetter, DiffWord
-from opgroups.finite import Law, _pair_rule
+from opgroups.finite import (Law, _pair_rule, alternating, cyclic, dihedral, klein_four, quaternion,
+                             symmetric)
 from opgroups.rota_baxter import _require_rb
 from opgroups.words import Atom, ReducedWord, Word
 
 ALPHABET = ("x", "y", "z")
+
+BUILT_IN_UP_TO_ORDER_24 = [*(lambda n=n: cyclic(n) for n in range(1, 25)),
+                           *(lambda n=n: dihedral(n) for n in range(2, 13)),
+                           klein_four, quaternion, lambda: alternating(4), lambda: symmetric(4)]
+
+
+def as_carrier(g):
+    """``g`` seen through the carrier interface only, not as a FiniteGroup."""
+    return SimpleNamespace(identity=g.identity, mul=g.mul, inv=g.inv,
+                           iter_elements=g.iter_elements)
 
 
 def random_word(rng: random.Random, *, max_depth: int = 2, max_breadth: int = 4,

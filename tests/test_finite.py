@@ -4,12 +4,14 @@ import random
 import re
 import subprocess
 import sys
+from enum import IntEnum
 from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import descendent_table, enumerate_operators_prefix, first_broken_pair, law_holds
+from helpers import (BUILT_IN_UP_TO_ORDER_24, as_carrier, descendent_table,
+                     enumerate_operators_prefix, first_broken_pair, law_holds)
 from opgroups import finite, groups
 from opgroups.differential import DiffTarget
 from opgroups.finite import (
@@ -475,12 +477,6 @@ def test_a_map_is_rota_baxter_exactly_when_its_graph_is_closed(name):
         assert (products <= set(sigma)) is lawful, op
 
 
-def as_carrier(g):
-    """``g`` seen through the carrier interface only, not as a FiniteGroup."""
-    return SimpleNamespace(identity=g.identity, mul=g.mul, inv=g.inv,
-                           iter_elements=g.iter_elements)
-
-
 @pytest.mark.parametrize("make,carrier", [(lambda: dihedral(32), False),
                                           (lambda: cyclic(64), False),
                                           (lambda: dihedral(32), True)],
@@ -564,6 +560,60 @@ def test_images_outside_the_carrier_are_rejected():
     for op, bad in [((0, 5), "5 of 1"), ((0, True), "True of 1"), ((0.0, 1), "0.0 of 0")]:
         with pytest.raises(ValueError, match=f"^the image {bad} is not an element$"):
             convert_weight(op, c2)
+
+
+def test_an_inverse_is_the_first_two_sided_one():
+    # a b = e but b a != e: the inverse of a is the later c with a c = c a = e,
+    # and the table then fails associativity; with no such c, a has none
+    names = ["e", "a", "b", "c"]
+    with pytest.raises(GroupTableError, match=r"^associativity fails at \(a, a, b\)$"):
+        FiniteGroup(names, [[0, 1, 2, 3], [1, 1, 0, 0], [2, 2, 0, 1], [3, 0, 3, 0]])
+    with pytest.raises(GroupTableError, match=r"^element 'a' has no inverse$"):
+        FiniteGroup(names, [[0, 1, 2, 3], [1, 1, 0, 2], [2, 2, 1, 1], [3, 3, 3, 0]])
+
+
+# a bad entry last, where a check that read only the first entry would miss it
+LAST_BAD = [True, 1.0, -1, 3]
+LAST_BAD_IDS = ["bool", "float", "-1", "n"]
+
+
+@pytest.mark.parametrize("bad", LAST_BAD, ids=LAST_BAD_IDS)
+def test_a_group_table_refuses_a_bad_last_cell(bad):
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, bad]]
+    with pytest.raises(GroupTableError, match=rf"^table is not closed: entry {bad!r} at \(a2, a2\) "
+                                              r"is not an element index$"):
+        FiniteGroup(["e", "a", "a2"], table)
+
+
+@pytest.mark.parametrize("bad", LAST_BAD, ids=LAST_BAD_IDS)
+def test_the_operator_checks_refuse_a_bad_last_image(bad):
+    g = cyclic(3)
+    message = rf"^the image {bad!r} of 2 is not an element$"
+    for images in [(0, 1, bad), {0: 0, 1: 1, 2: bad}]:
+        with pytest.raises(ValueError, match=message):
+            first_violation(g, images, Law.ENDO)
+        with pytest.raises(ValueError, match=message):
+            check_identity(g, images, Law.RB_PLUS)
+    with pytest.raises(ValueError, match=message):
+        convert_weight((0, 1, bad), g)
+    for target in (RBTarget, DiffTarget):
+        with pytest.raises(ValueError, match=message):
+            target(g, lambda i: bad if i == 2 else 0)
+
+
+def test_an_int_subclass_is_an_index_wherever_it_was():
+    # an IntEnum fails the one-pass checks, which accept only ints, and
+    # passes the per-element checks behind them
+    Index = IntEnum("Index", [("E", 0), ("A", 1), ("A2", 2)])
+    table = [[Index((a + b) % 3) for b in range(3)] for a in range(3)]
+    g = FiniteGroup(["e", "a", "a2"], table)
+    assert g._table == cyclic(3)._table
+    inversion = (Index.E, Index.A2, Index.A)
+    assert first_violation(g, inversion, Law.ENDO) is None
+    assert first_violation(g, dict(enumerate(inversion)), Law.ENDO) is None
+    assert convert_weight(inversion, g) == identity_operator(g)
+    trivial = (Index.E,) * 3
+    assert RBTarget(g, trivial.__getitem__).op(2) is Index.E
 
 
 def test_first_violation_checks_the_shape_of_the_images():
@@ -857,11 +907,6 @@ def test_enumeration_matches_prefix_search(name):
             ops = enumerate_operators(h, law, action)
             assert ops == sorted(ops), (order, law)
             assert ops == enumerate_operators_prefix(h, law, action), (order, law)
-
-
-BUILT_IN_UP_TO_ORDER_24 = [*(lambda n=n: cyclic(n) for n in range(1, 25)),
-                           *(lambda n=n: dihedral(n) for n in range(2, 13)),
-                           klein_four, quaternion, lambda: alternating(4), lambda: symmetric(4)]
 
 
 def test_operator_counts_on_the_built_in_groups_up_to_order_24():

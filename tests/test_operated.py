@@ -1,12 +1,16 @@
 import random
+import re
 from collections import Counter, defaultdict
+from enum import IntEnum
 
 import pytest
 
-from helpers import random_word
-from opgroups import rota_baxter
-from opgroups.differential import parse_diff_word
+from helpers import (ALPHABET, BUILT_IN_UP_TO_ORDER_24, as_carrier, random_diff_word,
+                     random_rb_word, random_word)
+from opgroups import differential, rota_baxter
+from opgroups.differential import DiffTarget, DiffWord, parse_diff_word
 from opgroups.finite import (
+    FiniteGroup,
     Law,
     constant_operator,
     cyclic,
@@ -16,6 +20,7 @@ from opgroups.finite import (
     symmetric,
 )
 from opgroups.operated import OperatedTarget, UnassignedGeneratorError, bracket, evaluate
+from opgroups.rota_baxter import RBTarget
 from opgroups.words import Atom, Word, format_word, gen, parse_word
 
 x, y = gen("x"), gen("y")
@@ -87,6 +92,74 @@ def test_eval_calls_identity_only_for_an_empty_product():
         g.calls.clear()
         assert evaluate(w, {"x": 1, "y": 2}, t) == value, w
         assert g.calls == calls, w
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0, 6, "a"], ids=["-1", "True", "1.0", "n", "str"])
+def test_the_table_lane_refuses_an_image_that_names_no_element(bad):
+    # into a FiniteGroup, -1 read the last row of the table, True read row 1,
+    # and 6 on S3 raised a bare IndexError
+    g = symmetric(3)
+    w = parse_word("x <y>")
+    t = OperatedTarget(g, lambda i: i)
+    with pytest.raises(ValueError, match=rf"^the image {re.escape(repr(bad))} of generator 'x' "
+                                         r"is not an element index$"):
+        evaluate(w, {"x": bad, "y": 2}, t)
+    # the body <y> is slot 2 of the plan, after the generators x and y
+    t = OperatedTarget(g, lambda i: bad)
+    with pytest.raises(ValueError, match=rf"^op sends 2, the body of the bracket in slot 2, to "
+                                         rf"{re.escape(repr(bad))}, which is not an element index$"):
+        evaluate(w, {"x": 1, "y": 2}, t)
+    # every generator is looked up before any image is checked
+    with pytest.raises(UnassignedGeneratorError, match="'y'"):
+        evaluate(w, {"x": bad}, t)
+
+
+def test_the_table_lane_accepts_an_int_subclass():
+    # an IntEnum names an element, as everywhere else in the lab
+    Index = IntEnum("Index", [("E", 0), ("A", 1), ("A2", 2)])
+    g = cyclic(3)
+    w = parse_word("x <y x>^-1")
+    t = OperatedTarget(g, lambda i: Index((i + 1) % 3))
+    assert evaluate(w, {"x": Index.A, "y": Index.A2}, t) == evaluate(w, {"x": 1, "y": 2}, t) == 0
+
+
+def test_the_table_lane_agrees_with_the_generic_lane():
+    # every built-in group of order <= 24 evaluates as itself, on its tables,
+    # and through its carrier methods alone, by multiply_images: seeded
+    # words of each theory, the empty word and <1>, into enumerated
+    # operators of each law and into arbitrary self-maps
+    rng = random.Random(2023)
+    words = [Word(), bracket(Word()), *(random_word(rng, max_depth=3) for _ in range(8))]
+    theories = [(RBTarget, Law.RB_PLUS, rota_baxter.evaluate,
+                 [Word(), *(random_rb_word(rng) for _ in range(8))]),
+                (DiffTarget, Law.DIFF_PLUS, differential.evaluate,
+                 [DiffWord(), *(random_diff_word(rng) for _ in range(8))])]
+    for make in BUILT_IN_UP_TO_ORDER_24:
+        g = make()
+        n, carrier = len(g), as_carrier(g)
+        cases = []
+        for target, law, ev, ws in theories:
+            ops = enumerate_operators(g, law)
+            for op in rng.sample(ops, min(3, len(ops))):
+                cases.append((target(g, op.__getitem__), target(carrier, op.__getitem__), ev, ws))
+        for _ in range(3):
+            images = [rng.randrange(n) for _ in range(n)]
+            cases.append((OperatedTarget(g, images.__getitem__),
+                          OperatedTarget(carrier, images.__getitem__), evaluate, words))
+        for table, generic, ev, ws in cases:
+            assert isinstance(table.group, FiniteGroup) and not isinstance(generic.group, FiniteGroup)
+            for assignment in [{s: rng.randrange(n) for s in ALPHABET} for _ in range(2)]:
+                for w in ws:
+                    assert ev(w, assignment, table) == ev(w, assignment, generic), (g, w)
+                partial = {"x": assignment["x"]}
+                for w in ws:
+                    outcomes = []
+                    for target in (table, generic):
+                        try:
+                            outcomes.append(ev(w, partial, target))
+                        except UnassignedGeneratorError as e:
+                            outcomes.append(e.symbol)
+                    assert outcomes[0] == outcomes[1], (g, w)
 
 
 def test_eval_direct_recursion():
