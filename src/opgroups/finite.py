@@ -164,24 +164,37 @@ def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None
     """Check that ``action`` is an n x n matrix of element indices that
     satisfies the left-action axioms act(e, x) = x and
     act(ab, x) = act(a, act(b, x))."""
+    _check_snapshot(group, _action_rows(action, range(len(group))))
+
+
+def _check_snapshot(group: FiniteGroup, action: tuple) -> bool:
+    # the checks of validate_action on a snapshot of an action (see
+    # _action_rows), in one pass that also says whether it acts by
+    # automorphisms
     n = len(group)
-    action = _action_rows(action, range(n))
-    for g, row in enumerate(action):
-        for x, v in enumerate(row):
-            if not _is_index(v, n):
-                raise ValueError(f"action entry {v!r} at ({group.name(g)}, {group.name(x)}) "
-                                 "is not an element index")
+    if not _all_indices(chain.from_iterable(action), n):
+        for g, row in enumerate(action):
+            for x, v in enumerate(row):
+                if not _is_index(v, n):
+                    raise ValueError(f"action entry {v!r} at ({group.name(g)}, "
+                                     f"{group.name(x)}) is not an element index")
     for x, v in enumerate(action[group.identity_index]):
         if v != x:
             raise ValueError(f"action of the identity moves {group.name(x)!r}")
     # the b with act(ab, x) = act(a, act(b, x)) for all a and x contain e and
     # are closed under the product, so the generators decide the second axiom
     # (Light's test, see FiniteGroup); a full scan names the first failure
-    rows = group._table
-    if _first_incompatible(rows, action, group._gens) is not None:
+    rows, gens = group._table, group._gens
+    if _first_incompatible(rows, action, gens) is not None:
         a, b, x = _first_incompatible(rows, action, range(n))
         raise ValueError(f"action is not compatible with multiplication at "
                          f"({group.name(a)}, {group.name(b)}, {group.name(x)})")
+    # each act(g, .) is a bijection, with inverse act(g^-1, .), and an
+    # endomorphism once it keeps the endo law on the pairs (x, s) with s a
+    # generator (see the module docstring); as act(gh, .) = act(g, act(h, .)),
+    # the generators g suffice too
+    endo = _pair_rule(rows, group._inv, Law.ENDO, None)
+    return all(_first_broken(endo, action[g], gens) is None for g in gens)
 
 
 def _action_rows(action, elems) -> tuple:
@@ -196,19 +209,20 @@ def _action_rows(action, elems) -> tuple:
     raise ValueError(f"action must be an {n}x{n} matrix")
 
 
-# The last action that passed validate_action: its Cayley table, a snapshot
-# of it as a tuple of tuples, and whether it is by automorphisms.  The lab
-# checks every operator of a search against one action.  A snapshot cannot
-# go stale when a caller mutates its action in place, and one entry keeps the
-# memory O(1) however many groups a process builds.
+# The last action that passed the checks of validate_action: its Cayley
+# table, a snapshot of it as a tuple of tuples, and whether it is by
+# automorphisms.  The lab checks every operator of a search against one
+# action.  A snapshot cannot go stale when a caller mutates its action in
+# place, and one entry keeps the memory O(1) however many groups a process
+# builds.
 _valid_action: Optional[tuple] = None
 
 
 def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tuple[tuple, bool]:
-    """A snapshot of ``action`` as a tuple of tuples, validated by
-    :func:`validate_action` unless it is the last one validated on the same
-    table, or equals it and holds only ints, and whether it acts by
-    automorphisms."""
+    """A snapshot of ``action`` as a tuple of tuples, and whether it acts by
+    automorphisms.  The snapshot is checked as :func:`validate_action`
+    checks it, in the pass that decides the verdict, unless it is the last
+    one checked on the same table, or equals it and holds only ints."""
     global _valid_action
     memo = _valid_action
     table = group._table
@@ -217,30 +231,14 @@ def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tupl
     snapshot = _action_rows(action, range(len(table)))
     # equal by value is not enough, as False == 0 and 1.0 == 1 name no element
     if (memo is None or table != memo[0] or snapshot != memo[1]
-            or {*map(type, chain.from_iterable(snapshot))} != {int}):
-        validate_action(group, snapshot)
-        by_automorphisms = _by_automorphisms(group, snapshot)
+            or not _all_indices(chain.from_iterable(snapshot), len(table))):
+        by_automorphisms = _check_snapshot(group, snapshot)
     else:
         by_automorphisms = memo[2]
     if type(action) is tuple and all(type(row) is tuple for row in action):
         snapshot = action  # immutable as it is, so that passing it again is a hit
     _valid_action = table, snapshot, by_automorphisms
     return snapshot, by_automorphisms
-
-
-def _by_automorphisms(group: FiniteGroup, action: tuple) -> bool:
-    # whether each act(g, .) of a valid action is an automorphism.  It is a
-    # bijection, with inverse act(g^-1, .); it is multiplicative when it is on
-    # the pairs (x, s) with s a generator, and act(gh, .) = act(g, act(h, .)),
-    # so the generators g suffice too
-    rows, gens = group._table, group._gens
-    for g in gens:
-        act = action[g]
-        for x, row in enumerate(rows):
-            ax = rows[act[x]]
-            if any(act[row[s]] != ax[act[s]] for s in gens):
-                return False
-    return True
 
 
 def adjoint_action(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -335,10 +333,10 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     only a map that breaks it there, or a crossed law under an action that
     is not by automorphisms, is scanned over every pair for the first broken
     one.  The crossed law's action is checked as :func:`validate_action`
-    checks it, and the last action that passed is remembered with the
-    table, so checking many operators against one action validates it once:
-    the same tuple of tuples, or an equal action of ints, is not validated
-    again.
+    checks it, in the pass that decides whether it acts by automorphisms,
+    and the last action that passed is remembered with the table, so
+    checking many operators against one action validates it once: the same
+    tuple of tuples, or an equal action of ints, is not validated again.
     """
     law = Law(law)
     elems = list(group.iter_elements())
@@ -395,18 +393,18 @@ def _carrier_group(carrier, elems: list, action) -> tuple[FiniteGroup, Optional[
             y = elems[row.index(None)]
             raise ValueError(f"the carrier is not closed: the product of {x!r} and {y!r} "
                              f"is {carrier.mul(x, y)!r}, not an element")
-    for x in elems:
-        if _position(pos, carrier.inv(x)) is None:
-            raise ValueError(f"the carrier is not closed: the inverse of {x!r} "
-                             f"is {carrier.inv(x)!r}, not an element")
     group = FiniteGroup._closed(elems, rows)
     e = _position(pos, carrier.identity())
     if e != group.identity_index:
         raise ValueError(f"the identity {carrier.identity()!r} is not "
                          + ("an element" if e is None else "the identity of its table"))
     for x, i in zip(elems, group._inv):
-        if carrier.inv(x) != elems[i]:
-            raise ValueError(f"the inverse of {x!r} is {elems[i]!r}, not {carrier.inv(x)!r}")
+        y = carrier.inv(x)
+        if _position(pos, y) is None:
+            raise ValueError(f"the carrier is not closed: the inverse of {x!r} "
+                             f"is {y!r}, not an element")
+        if y != elems[i]:
+            raise ValueError(f"the inverse of {x!r} is {elems[i]!r}, not {y!r}")
     if action is not None:
         cells = _action_rows(action, elems)
         action = tuple(tuple(_position(pos, v) for v in row) for row in cells)
@@ -602,7 +600,8 @@ def projection_operator(group: FiniteGroup, first: Iterable, second: Iterable) -
 
     ``first`` and ``second`` are subgroups (given by names or indices) with
     trivial intersection whose pairwise products cover the whole group; every
-    g then factors uniquely as g = g1 g2 and the returned map sends g to g1.
+    g then factors uniquely as g = g1 g2, as a1 b1 = a2 b2 puts
+    a2^-1 a1 = b2 b1^-1 in the intersection, and the map sends g to g1.
     The result satisfies the weight -1 Rota-Baxter law.
     """
     s1 = _as_index_set(group, first)
@@ -614,10 +613,7 @@ def projection_operator(group: FiniteGroup, first: Iterable, second: Iterable) -
     images: list[Optional[int]] = [None] * len(group)
     for a in sorted(s1):
         for b in sorted(s2):
-            p = group.mul(a, b)
-            if images[p] is not None:
-                raise ValueError(f"factorization of {group.name(p)!r} is not unique")
-            images[p] = a
+            images[group.mul(a, b)] = a
     missing = [group.name(i) for i, v in enumerate(images) if v is None]
     if missing:
         raise ValueError(f"factorization is not exhaustive: no factorization for {missing}")

@@ -156,8 +156,6 @@ class FiniteGroup:
         if _first_incompatible(rows, rows, self._gens) is not None:
             a, b, c = _first_incompatible(rows, rows, range(n))
             raise GroupTableError(f"associativity fails at ({names[a]}, {names[b]}, {names[c]})")
-
-        self._abelian = all(rows[a][b] == rows[b][a] for a in range(n) for b in range(a))
         return self
 
     def __len__(self) -> int:
@@ -181,7 +179,8 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return self._abelian
+        rows = self._table
+        return all(rows[a][b] == rows[b][a] for a in range(len(rows)) for b in range(a))
 
     def index(self, name: str) -> int:
         try:

@@ -25,12 +25,15 @@ factor are pushed one at a time onto those of the left, and the top atom and
 the incoming one cancel, merge into one bracket that is pushed in place of
 the incoming atom, or stay side by side.  This is leftmost-first rewriting of
 the concatenated atoms.  Only a merge recurses, and only into the bracket
-bodies, so the product recurses as deep as the brackets nest, not once per
-letter.  Each call of :func:`diamond` memoises its merges, keyed by the
-identities of the two bracket bodies, for the length of that call: the merges
-of nested brackets ask for the same pairs of body objects many times over,
-and each is computed once, with no word hashed.  The memo is dropped when the
-call returns, so no memory outlives a product.  The test suite checks the
+bodies, not once per letter.  But a merge's body is built by merges too, so
+merges nest as deep as the brackets of the *result*, not of the operands:
+squaring a chain of depth 2-9 nests them 5, 9, 15, 25, 43, 77, 143 and 273
+deep, and at depth 11 the interpreter's stack runs out before
+``MERGE_BUDGET`` does.  Each call of :func:`diamond` memoises its merges,
+keyed by the identities of the two bracket bodies, for the length of that
+call: the merges of nested brackets ask for the same pairs of body objects
+many times over, and each is computed once, with no word hashed.  The memo
+is dropped when the call returns, so no memory outlives a product.  The test suite checks the
 product against a flat, unmemoised rewriting oracle.
 
 Because the Rota-Baxter relation forces ``B(1) = 1`` in every group carrying
@@ -46,7 +49,12 @@ counted at every nesting level), cancellation ``(u ⋄ v) ⋄ v^-1 = u`` fails
 on about 5% of the pairs, and at size at most 3 on 12%; see the census in
 ``tests/test_rota_baxter.py``.  Evaluation into any honest Rota-Baxter group
 is nevertheless a homomorphism for every product this module computes,
-because every local rule is an identity of Rota-Baxter groups.
+because every local rule is an identity of Rota-Baxter groups.  Some
+products of valid words are not computed at all: the merge in
+``<<x>^-1 x^-1 <x>> ⋄ <x>`` asks for its own result, and raises
+:class:`DiamondLimitError`.  In a Rota-Baxter group B(x) B(a) = B(1) = 1 for
+a = B(x)^-1 x^-1 B(x), so this product is 1; a confluent normal form
+(ROADMAP item 6) must make such pairs compute.
 """
 
 from __future__ import annotations
@@ -76,15 +84,17 @@ MERGE_BUDGET = 1_000_000
 # The product's stack machine leaves its stack reduced (see _Product.push),
 # so it skips free reduction.
 _word = Word._reduced
-_UNSEEN = object()  # not yet in the cache; None is a value there
+_UNSEEN = object()  # not yet in a cache, or not yet computed; None is a value there
 
 
 class DiamondLimitError(RuntimeError):
     """The recursion guard fired: one product made more distinct bracket
-    merges than ``MERGE_BUDGET`` (10^6).  This signals a bug in the product,
-    not a property of the input; it must never happen for valid Rota-Baxter
-    words.  The message names the budget and the lengths and depths of the
-    two operands."""
+    merges than ``MERGE_BUDGET`` (10^6), and the message names the budget
+    and the lengths and depths of the two operands; or a merge asked for its
+    own result, and the message names its two brackets.  The second happens
+    on valid Rota-Baxter words, such as ``<<x>^-1 x^-1 <x>> ⋄ <x>``, whose
+    product is 1 in every Rota-Baxter group (see the module docstring): a
+    confluent normal form (ROADMAP item 6) must make these pairs compute."""
 
 
 def find_rb_violation(w: Word) -> Optional[str]:
@@ -178,9 +188,10 @@ class _Product:
     __slots__ = ("memo", "left", "u", "v")
 
     def __init__(self, u: Word, v: Word):
-        # (id of a's body, id of b's body) -> (a, b, their merge); keeping a
-        # and b keeps both bodies alive, so no id is reused during the call
-        self.memo: dict[tuple[int, int], tuple[Atom, Atom, Optional[Atom]]] = {}
+        # (id of a's body, id of b's body) -> [a, b, their merge], with
+        # _UNSEEN for the merge while it is computed; keeping a and b keeps
+        # both bodies alive, so no id is reused during the call
+        self.memo: dict[tuple[int, int], list] = {}
         self.left = MERGE_BUDGET
         self.u, self.v = u, v
 
@@ -220,7 +231,12 @@ class _Product:
         key = (id(a.base), id(b.base))
         hit = self.memo.get(key)
         if hit is not None:
-            return hit[2]
+            m = hit[2]
+            if m is not _UNSEEN:
+                return m
+            # its own subproduct: the recursion would never end
+            raise DiamondLimitError(f"diamond recursion guard: the merge of {a!r} "
+                                    f"and {b!r} asks for its own result")
         self.left -= 1
         if self.left < 0:
             u, v = self.u, self.v
@@ -231,10 +247,11 @@ class _Product:
         # AD of b̄ by the positive bracket a: the left-bracketed conjugate
         # (a ⋄ b̄) ⋄ a^-1, so every factor of b̄ meets its left neighbour
         # before the closing a^-1 meets the last one
+        entry = self.memo[key] = [a, b, _UNSEEN]
         ad = self.push(self.push([a], b.base.atoms), (a.inverse(),))
         body = self.push(list(a.base.atoms), ad)
         m = Atom._make(_word(tuple(body)), 1) if body else None
-        self.memo[key] = (a, b, m)
+        entry[2] = m
         return m
 
 

@@ -405,6 +405,11 @@ def test_letter_sign_must_not_be_a_bool():
         DiffLetter("x", 0, True)
 
 
+def test_letter_order_must_not_be_negative():
+    with pytest.raises(ValueError, match=r"^derivative order must be >= 0$"):
+        DiffLetter("x", -1)
+
+
 @pytest.mark.parametrize("text,offset", [
     ("", 0),
     ("x 1", 2),

@@ -64,6 +64,28 @@ def test_standard_groups_are_groups():
     assert len(symmetric(4)) == 24
     assert len(alternating(4)) == 12
     assert len(dihedral(6)) == 12
+
+
+def test_a_table_of_the_wrong_shape_is_refused():
+    for table in ([[0, 1]], [[0, 1], [1]], [[0, 1], [1, 0, 1]], [[0, 1], [1, 0], [0, 1]]):
+        with pytest.raises(GroupTableError, match=r"^table is not 2x2$"):
+            FiniteGroup(["e", "a"], table)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: cyclic(0), "order must be positive"),
+    (lambda: dihedral(1), "need n >= 2"),
+    (lambda: symmetric(5), "only n <= 4 is supported as an explicit table"),
+    (lambda: alternating(5), "only n <= 4 is supported as an explicit table"),
+], ids=["C0", "D1", "S5", "A5"])
+def test_standard_groups_refuse_an_order_out_of_range(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_operator_from_names_needs_one_image_per_element():
+    with pytest.raises(ValueError, match=r"^operator must list 3 images, got 2$"):
+        operator_from_names(cyclic(3), ["e", "a"])
     assert not symmetric(3).is_abelian
     assert cyclic(12).is_abelian
 
@@ -411,6 +433,18 @@ def test_an_action_is_by_automorphisms_when_it_is_on_the_generators():
         assert finite._checked_action(g, action)[1] is expected
 
 
+def test_the_automorphism_verdict_on_every_built_in_group_up_to_order_24():
+    # each act(s, .), s a generator, kept the endo law on the pairs (x, t),
+    # t a generator, exactly when every act(g, .) keeps it on every pair
+    for make in BUILT_IN_UP_TO_ORDER_24:
+        g = make()
+        m, n = g.mul, len(g)
+        for action in (adjoint_action(g), left_regular_action(g)):
+            expected = all(action[a][m(x, y)] == m(action[a][x], action[a][y])
+                           for a, x, y in product(range(n), repeat=3))
+            assert finite._checked_action(g, action)[1] is expected, (g, action)
+
+
 @pytest.mark.parametrize("name", UP_TO_ORDER_12)
 def test_first_violation_names_the_first_broken_pair_of_near_rota_baxter_maps(name):
     # the Rota-Baxter laws are first checked on (e, e) and on the pairs
@@ -693,6 +727,45 @@ def test_a_carrier_that_is_not_closed_is_named():
                              (UnhashableInverse(), r"the inverse of 2 is \[2\]")]:
         with pytest.raises(ValueError, match=rf"^the carrier is not closed: {message}, not an "):
             first_violation(carrier, {0: 0, 1: 0, 2: 0}, Law.ENDO)
+
+
+def test_a_carrier_inverse_is_read_once_per_element():
+    # the inverses were read twice, once for closure and once against the
+    # table, and the closure message was the first of them
+    calls = []
+
+    class Counting(_C3):
+        def inv(self, a):
+            calls.append(a)
+            return super().inv(a)
+
+    for law in Law:
+        calls.clear()
+        action = [[0, 1, 2]] * 3 if law is Law.CROSSED else None
+        assert first_violation(Counting(), dict.fromkeys(range(3), 0), law, action) is None
+        assert sorted(calls) == [0, 1, 2], law
+
+    # so a carrier broken in two ways is named by the fault found first in
+    # one pass: an inverse in the carrier but not the table's, before a
+    # later inverse that leaves the carrier
+    class WrongThenOpen(_C3):
+        def inv(self, a):
+            return (0, 1, 5)[a]
+
+    with pytest.raises(ValueError, match=r"^the inverse of 1 is 2, not 1$"):
+        first_violation(WrongThenOpen(), dict.fromkeys(range(3), 0), Law.ENDO)
+    # and a table that is no group, or a wrong identity, before an inverse
+    # that leaves the carrier
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    c5 = SimpleNamespace(identity=lambda: 0, mul=lambda a, b: loop[a][b], inv=lambda a: 9,
+                         iter_elements=lambda: range(5))
+    with pytest.raises(GroupTableError, match=r"^associativity fails at \(1, 1, 2\)$"):
+        first_violation(c5, dict.fromkeys(range(5), 0), Law.ENDO)
+    c3 = SimpleNamespace(identity=lambda: 1, mul=lambda a, b: (a + b) % 3, inv=lambda a: 9,
+                         iter_elements=lambda: range(3))
+    with pytest.raises(ValueError, match=r"^the identity 1 is not the identity of its table$"):
+        first_violation(c3, dict.fromkeys(range(3), 0), Law.ENDO)
 
 
 def test_a_carrier_is_checked_as_the_group_of_its_table():
@@ -1102,6 +1175,16 @@ def test_projection_operator_rejects_bad_factorizations():
         projection_operator(s3, {"e"}, {"e", "(12)"})
 
 
+def test_projection_operator_names_a_subset_that_is_no_subgroup():
+    c5 = cyclic(5)
+    with pytest.raises(ValueError, match=r"^first subgroup does not contain the identity$"):
+        projection_operator(c5, {"a"}, {"e"})
+    # closed under inverses, as a4 = a^-1, but not under products
+    with pytest.raises(ValueError, match=r"^second subgroup is not closed under product "
+                       r"at \(a, a\)$"):
+        projection_operator(c5, {"e"}, {"e", "a", "a4"})
+
+
 # --- group files ---------------------------------------------------------------
 
 def test_import_does_not_load_yaml():
@@ -1174,6 +1257,15 @@ def test_group_file_action_is_validated(tmp_path):
         load_group_file(path)
 
 
+def test_group_file_round_trips_an_action(tmp_path):
+    g = symmetric(3)
+    path = tmp_path / "s3.grp"
+    dump_group_file(path, g, action=adjoint_action(g))
+    data = load_group_file(path)
+    assert data.group.elements == g.elements
+    assert data.action == adjoint_action(g)
+
+
 GROUP_C2 = "elements: [e, a]\ntable: [[e, a], [a, e]]\n"
 
 
@@ -1192,4 +1284,15 @@ def test_group_file_rejects_a_string_for_a_list(tmp_path, body, key):
     path = tmp_path / "bad.grp"
     path.write_text(body, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{key} must be a list, got str$"):
+        load_group_file(path)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("- e\n- a\n", "group file must be a mapping"),
+    (GROUP_C2 + "subgroups: [e]\n", "subgroups must be a mapping of name -> element list"),
+], ids=["list", "subgroups-list"])
+def test_group_file_mappings_must_be_mappings(tmp_path, body, message):
+    path = tmp_path / "bad.grp"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_group_file(path)

@@ -208,6 +208,42 @@ def test_depth_four_square_agrees_with_rewriting_oracle():
     assert diamond(w, w) == diamond_rewrite(w, w)
 
 
+# B(x) B(a) = B(x B(x) a B(x)^-1) = B(1) = 1 for a = B(x)^-1 x^-1 B(x), so
+# <a> ⋄ <x> is 1 in every Rota-Baxter group; the merge of <a> with <x> asks
+# for its own result, which recursed until RecursionError
+SELF_MERGING = "<<x>^-1 x^-1 <x>>"
+
+
+def test_a_merge_that_asks_for_its_own_result_raises_the_guard():
+    b = parse_word(SELF_MERGING)
+    message = (r"^diamond recursion guard: the merge of <<x>\^-1 x\^-1 <x>> and <x> "
+               r"asks for its own result$")
+    with pytest.raises(DiamondLimitError, match=message):
+        diamond(b, bracket(x))
+    # the mirror pair, through the swapped positive merge
+    with pytest.raises(DiamondLimitError, match=message):
+        diamond(rb_inverse(bracket(x)), rb_inverse(b))
+    # the other order merges to an empty body, and the bracket of 1 is 1
+    assert diamond(bracket(x), b) == Word()
+
+
+def test_products_with_a_self_merging_bracket_compute_or_raise_the_guard():
+    # every RB word over {x} of size <= 6 on the other side: the same 455
+    # words fail on each side, by the guard and not by RecursionError
+    words = rb_words(("x",), 6)
+    assert len(words) == 5245
+    b = parse_word(SELF_MERGING)
+    b_inverse = rb_inverse(b)
+    for product in (lambda w: diamond(b, w), lambda w: diamond(w, b_inverse)):
+        failed = 0
+        for w in words:
+            try:
+                product(w)
+            except DiamondLimitError:
+                failed += 1
+        assert failed == 455
+
+
 # --- the conjugation twist --------------------------------------------------------
 
 def conjugate(u, v):

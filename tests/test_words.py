@@ -256,6 +256,13 @@ def test_parse_error_messages():
     assert parse_word("\tx^-1\n<B(y)>  ") == gen("x", -1) * bracket(bracket(y))
 
 
+def test_a_bracket_after_one_is_refused():
+    # '1' then an opener: the opener is named, not the '1'
+    with pytest.raises(WordSyntaxError, match=r"^'1' must stand alone \(at offset 2\)$") as err:
+        parse_word("1 <x>")
+    assert err.value.position == 2
+
+
 @pytest.mark.parametrize("parse,fmt", [(parse_word, format_word),
                                        (parse_diff_word, format_diff_word)])
 @given(text=st.text(st.sampled_from(list("<>B()^-1xy_.2 \t?"))) | st.text())
