@@ -164,37 +164,7 @@ def validate_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> None
     """Check that ``action`` is an n x n matrix of element indices that
     satisfies the left-action axioms act(e, x) = x and
     act(ab, x) = act(a, act(b, x))."""
-    _check_snapshot(group, _action_rows(action, range(len(group))))
-
-
-def _check_snapshot(group: FiniteGroup, action: tuple) -> bool:
-    # the checks of validate_action on a snapshot of an action (see
-    # _action_rows), in one pass that also says whether it acts by
-    # automorphisms
-    n = len(group)
-    if not _all_indices(chain.from_iterable(action), n):
-        for g, row in enumerate(action):
-            for x, v in enumerate(row):
-                if not _is_index(v, n):
-                    raise ValueError(f"action entry {v!r} at ({group.name(g)}, "
-                                     f"{group.name(x)}) is not an element index")
-    for x, v in enumerate(action[group.identity_index]):
-        if v != x:
-            raise ValueError(f"action of the identity moves {group.name(x)!r}")
-    # the b with act(ab, x) = act(a, act(b, x)) for all a and x contain e and
-    # are closed under the product, so the generators decide the second axiom
-    # (Light's test, see FiniteGroup); a full scan names the first failure
-    rows, gens = group._table, group._gens
-    if _first_incompatible(rows, action, gens) is not None:
-        a, b, x = _first_incompatible(rows, action, range(n))
-        raise ValueError(f"action is not compatible with multiplication at "
-                         f"({group.name(a)}, {group.name(b)}, {group.name(x)})")
-    # each act(g, .) is a bijection, with inverse act(g^-1, .), and an
-    # endomorphism once it keeps the endo law on the pairs (x, s) with s a
-    # generator (see the module docstring); as act(gh, .) = act(g, act(h, .)),
-    # the generators g suffice too
-    endo = _pair_rule(rows, group._inv, Law.ENDO, None)
-    return all(_first_broken(endo, action[g], gens) is None for g in gens)
+    _checked_action(group, action)
 
 
 def _action_rows(action, elems) -> tuple:
@@ -209,35 +179,52 @@ def _action_rows(action, elems) -> tuple:
     raise ValueError(f"action must be an {n}x{n} matrix")
 
 
-# The last action that passed the checks of validate_action: its Cayley
-# table, a snapshot of it as a tuple of tuples, and whether it is by
-# automorphisms.  The lab checks every operator of a search against one
-# action.  A snapshot cannot go stale when a caller mutates its action in
-# place, and one entry keeps the memory O(1) however many groups a process
-# builds.
-_valid_action: Optional[tuple] = None
+# The last action that passed the checks of validate_action: its group, its
+# snapshot as a tuple of tuples, and whether it is by automorphisms.  The lab
+# checks every operator of a search against one action object.  A snapshot
+# cannot go stale when a caller mutates its action in place, and one entry
+# keeps the memory O(1) however many groups a process builds.
+_last_action: Optional[tuple] = None
 
 
 def _checked_action(group: FiniteGroup, action: Sequence[Sequence[int]]) -> tuple[tuple, bool]:
-    """A snapshot of ``action`` as a tuple of tuples, and whether it acts by
-    automorphisms.  The snapshot is checked as :func:`validate_action`
-    checks it, in the pass that decides the verdict, unless it is the last
-    one checked on the same table, or equals it and holds only ints."""
-    global _valid_action
-    memo = _valid_action
-    table = group._table
-    if memo is not None and action is memo[1] and table == memo[0]:
-        return memo[1], memo[2]  # the snapshot itself, which cannot change
-    snapshot = _action_rows(action, range(len(table)))
-    # equal by value is not enough, as False == 0 and 1.0 == 1 name no element
-    if (memo is None or table != memo[0] or snapshot != memo[1]
-            or not _all_indices(chain.from_iterable(snapshot), len(table))):
-        by_automorphisms = _check_snapshot(group, snapshot)
-    else:
-        by_automorphisms = memo[2]
+    """A snapshot of ``action`` as a tuple of tuples, checked as
+    :func:`validate_action` checks it, and whether it acts by automorphisms,
+    decided in the same pass.  A tuple of tuples is its own snapshot; the
+    last snapshot that passed, with the same group object, is not checked
+    again."""
+    global _last_action
+    memo = _last_action
+    if memo is not None and group is memo[0] and action is memo[1]:
+        return memo[1], memo[2]
+    n = len(group)
+    snapshot = _action_rows(action, range(n))
+    if not _all_indices(chain.from_iterable(snapshot), n):
+        for g, row in enumerate(snapshot):
+            for x, v in enumerate(row):
+                if not _is_index(v, n):
+                    raise ValueError(f"action entry {v!r} at ({group.name(g)}, "
+                                     f"{group.name(x)}) is not an element index")
+    for x, v in enumerate(snapshot[group.identity_index]):
+        if v != x:
+            raise ValueError(f"action of the identity moves {group.name(x)!r}")
+    # the b with act(ab, x) = act(a, act(b, x)) for all a and x contain e and
+    # are closed under the product, so the generators decide the second axiom
+    # (Light's test, see FiniteGroup); a full scan names the first failure
+    rows, gens = group._table, group._gens
+    if _first_incompatible(rows, snapshot, gens) is not None:
+        a, b, x = _first_incompatible(rows, snapshot, range(n))
+        raise ValueError(f"action is not compatible with multiplication at "
+                         f"({group.name(a)}, {group.name(b)}, {group.name(x)})")
+    # each act(g, .) is a bijection, with inverse act(g^-1, .), and an
+    # endomorphism once it keeps the endo law on the pairs (x, s) with s a
+    # generator (see the module docstring); as act(gh, .) = act(g, act(h, .)),
+    # the generators g suffice too
+    endo = _pair_rule(rows, group._inv, Law.ENDO, None)
+    by_automorphisms = all(_first_broken(endo, snapshot[g], gens) is None for g in gens)
     if type(action) is tuple and all(type(row) is tuple for row in action):
         snapshot = action  # immutable as it is, so that passing it again is a hit
-    _valid_action = table, snapshot, by_automorphisms
+    _last_action = group, snapshot, by_automorphisms
     return snapshot, by_automorphisms
 
 
@@ -266,7 +253,8 @@ def _law_rule(group: FiniteGroup, law: Law, action) -> tuple[Callable, bool]:
     """The pair rule of ``law`` on ``group``, and whether the law must be
     checked on every pair: only a crossed law whose action is not by
     automorphisms must (see the module docstring).  The action of the
-    crossed law is checked by :func:`_checked_action`."""
+    crossed law is checked, or found to be the last one checked, by
+    :func:`_checked_action`."""
     every_pair = False
     if law is Law.CROSSED:
         if action is None:
@@ -333,10 +321,10 @@ def first_violation(group, images, law: Law, action=None) -> Optional[tuple]:
     only a map that breaks it there, or a crossed law under an action that
     is not by automorphisms, is scanned over every pair for the first broken
     one.  The crossed law's action is checked as :func:`validate_action`
-    checks it, in the pass that decides whether it acts by automorphisms,
-    and the last action that passed is remembered with the table, so
-    checking many operators against one action validates it once: the same
-    tuple of tuples, or an equal action of ints, is not validated again.
+    checks it, in the pass that decides whether it acts by automorphisms.
+    The last action that passed is remembered with its group, so checking
+    many operators against one action validates it once when the same group
+    and the same tuple of tuples are passed each time.
     """
     law = Law(law)
     elems = list(group.iter_elements())
@@ -685,6 +673,8 @@ def load_group_file(path) -> GroupData:
             raise ValueError("subgroups must be a mapping of name -> element list")
         for key, members in raw["subgroups"].items():
             members = _as_list(members, f"subgroups entry {key!r}")
+            if str(key) in subgroups:  # YAML reads 1 and '1' as two keys
+                raise ValueError(f"subgroup name {str(key)!r} occurs twice")
             subgroups[str(key)] = tuple(group.index(str(s)) for s in members)
 
     return GroupData(group, operator, action, subgroups)
@@ -694,8 +684,8 @@ def dump_group_file(path, group: FiniteGroup, *, operator: Optional[Sequence[int
                     action: Optional[Sequence[Sequence[int]]] = None,
                     subgroups: Optional[dict[str, Sequence[int]]] = None) -> None:
     """Write a group file readable by :func:`load_group_file`.  An operator,
-    action or subgroup member that it would refuse or misread raises
-    ValueError before the file is opened."""
+    action, subgroup name or subgroup member that it would refuse or misread
+    raises ValueError before the file is opened."""
     import yaml
     data: dict = {
         "elements": list(group.elements),
@@ -707,6 +697,9 @@ def dump_group_file(path, group: FiniteGroup, *, operator: Optional[Sequence[int
         validate_action(group, action)
         data["action"] = [[group.name(x) for x in row] for row in action]
     if subgroups is not None:
+        for k in subgroups:
+            if not isinstance(k, str) or not k:
+                raise ValueError(f"subgroup name {k!r} is not a nonempty string")
         data["subgroups"] = {k: [group.name(i) for i in v] for k, v in subgroups.items()}
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(data, fh, sort_keys=False, default_flow_style=None)

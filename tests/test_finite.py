@@ -870,7 +870,7 @@ def test_an_action_equal_to_a_valid_one_must_still_hold_element_indices(monkeypa
     for bad, entry in [(((False, True), (False, True)), "False"), ([[0.0, 1], [0, 1]], "0.0")]:
         message = rf"^action entry {entry} at \(e, e\) is not an element index$"
         for ints_first in (True, False):
-            monkeypatch.setattr(finite, "_valid_action", None)
+            monkeypatch.setattr(finite, "_last_action", None)
             for action in ([ints, bad] if ints_first else [bad, ints, bad]):
                 if action is ints:
                     assert check_identity(g, (0, 0), Law.CROSSED, action) is None
@@ -880,12 +880,42 @@ def test_an_action_equal_to_a_valid_one_must_still_hold_element_indices(monkeypa
                     check_identity(g, (0, 0), Law.CROSSED, action)
                 with pytest.raises(ValueError, match=message):
                     enumerate_operators(g, Law.CROSSED, action)
-    # equal ints in new rows still pass without a new validation
-    monkeypatch.setattr(finite, "_valid_action", None)
+    # only the same tuple of tuples passes again without a new validation;
+    # equal ints in new rows are validated on every call
+    passes = count_compatibility_passes(monkeypatch)
     assert check_identity(g, (0, 0), Law.CROSSED, ints) is None
-    monkeypatch.setattr(finite, "validate_action", None)
-    assert check_identity(g, (0, 0), Law.CROSSED, [list(row) for row in ints]) is None
     assert check_identity(g, (0, 0), Law.CROSSED, ints) is None
+    assert len(passes) == 1
+    for expected in (2, 3):
+        assert check_identity(g, (0, 0), Law.CROSSED, [list(row) for row in ints]) is None
+        assert len(passes) == expected
+
+
+def count_compatibility_passes(monkeypatch) -> list:
+    """Forget the remembered action, and record each call of Light's test
+    on an action (one per validation of a valid action) in the list
+    returned."""
+    passes = []
+    first_incompatible = finite._first_incompatible
+    monkeypatch.setattr(finite, "_first_incompatible",
+                        lambda *args: passes.append(args) or first_incompatible(*args))
+    monkeypatch.setattr(finite, "_last_action", None)
+    return passes
+
+
+@pytest.mark.parametrize("make", [lambda: symmetric(3), lambda: dihedral(4), quaternion],
+                         ids=["S3", "D4", "Q8"])
+def test_a_search_and_the_checks_of_its_maps_validate_the_action_once(monkeypatch, make):
+    # the lab's traffic: every crossed homomorphism found is checked against
+    # the same action object on the same group
+    g = make()
+    act = adjoint_action(g)
+    passes = count_compatibility_passes(monkeypatch)
+    ops = enumerate_operators(g, Law.CROSSED, act)
+    assert ops
+    for op in ops:
+        assert check_identity(g, op, Law.CROSSED, act) is None
+    assert len(passes) == 1
 
 
 def action_axiom_error(g, action):
@@ -1213,8 +1243,8 @@ def test_group_file_round_trip(tmp_path):
     assert data.operator == inversion_operator(data.group)
     assert set(data.subgroups) == {"rot"}
     assert len(data.subgroups["rot"]) == 4
-    # each of these was written, then misread (-1 as a2, -2 as a) or refused
-    # on load; an image 5 raised a bare IndexError
+    # each of these was written, then misread (-1 as a2, -2 as a, the name 1
+    # as '1') or refused on load; an image 5 raised a bare IndexError
     c3, path = cyclic(3), tmp_path / "c3.grp"
     swapped = ((0, 1, 2), (0, 2, 1), (0, 1, 2))  # act(a, .) swaps a and a2 but act(a2, .) not
     for extra, message in [({"operator": (0, -1, 0)}, r"^-1 is not an element index$"),
@@ -1222,7 +1252,10 @@ def test_group_file_round_trip(tmp_path):
                            ({"operator": (0, 1)}, r"^operator must list 3 images, got 2$"),
                            ({"subgroups": {"h": [0, -2]}}, r"^-2 is not an element index$"),
                            ({"action": swapped}, r"^action is not compatible with multiplication "),
-                           ({"action": [0, 1, 2]}, r"^action must be an 3x3 matrix$")]:
+                           ({"action": [0, 1, 2]}, r"^action must be an 3x3 matrix$"),
+                           ({"subgroups": {(1, 2): [0]}},
+                            r"^subgroup name \(1, 2\) is not a nonempty string$"),
+                           ({"subgroups": {1: [0]}}, r"^subgroup name 1 is not a nonempty string$")]:
         with pytest.raises(ValueError, match=message):
             dump_group_file(path, c3, **extra)
         assert not path.exists(), extra
@@ -1290,7 +1323,8 @@ def test_group_file_rejects_a_string_for_a_list(tmp_path, body, key):
 @pytest.mark.parametrize("body,message", [
     ("- e\n- a\n", "group file must be a mapping"),
     (GROUP_C2 + "subgroups: [e]\n", "subgroups must be a mapping of name -> element list"),
-], ids=["list", "subgroups-list"])
+    (GROUP_C2 + "subgroups: {1: [e], '1': [e, a]}\n", "subgroup name '1' occurs twice"),
+], ids=["list", "subgroups-list", "subgroup-name-twice"])
 def test_group_file_mappings_must_be_mappings(tmp_path, body, message):
     path = tmp_path / "bad.grp"
     path.write_text(body, encoding="utf-8")
