@@ -631,14 +631,26 @@ def _as_list(value, what: str) -> list:
     return value
 
 
+def _subgroup_entry(group: FiniteGroup, key: str, names: list[str]) -> tuple[int, ...]:
+    # the indices of a subgroups entry, which must list the members of a
+    # subgroup, each once
+    members = tuple(map(group.index, names))
+    if len(set(members)) != len(members):
+        twice = next(s for i, s in enumerate(names) if s in names[:i])
+        raise ValueError(f"subgroups entry {key!r} lists {twice!r} twice")
+    _require_subgroup(group, set(members), f"subgroups entry {key!r}:")
+    return members
+
+
 def load_group_file(path) -> GroupData:
     """Read and validate a group file (YAML/JSON mapping).
 
     Required keys: ``elements`` (list of names) and ``table`` (list of rows
     of names).  Optional: ``operator`` (list of names parallel to elements),
-    ``action`` (matrix of names) and ``subgroups`` (mapping of name ->
-    element list).  Unknown keys are rejected.  The group's order is at most
-    64, the reach of ``ENUM_NODE_BUDGET`` (see :class:`FiniteGroup`).
+    ``action`` (matrix of names) and ``subgroups`` (mapping of name -> list
+    of the members of a subgroup, each once).  Unknown keys are rejected.
+    The group's order is at most 64, the reach of ``ENUM_NODE_BUDGET`` (see
+    :class:`FiniteGroup`).
     """
     import yaml  # only the group-file functions need it
     with open(path, encoding="utf-8") as fh:
@@ -675,7 +687,7 @@ def load_group_file(path) -> GroupData:
             members = _as_list(members, f"subgroups entry {key!r}")
             if str(key) in subgroups:  # YAML reads 1 and '1' as two keys
                 raise ValueError(f"subgroup name {str(key)!r} occurs twice")
-            subgroups[str(key)] = tuple(group.index(str(s)) for s in members)
+            subgroups[str(key)] = _subgroup_entry(group, str(key), [str(s) for s in members])
 
     return GroupData(group, operator, action, subgroups)
 
@@ -684,8 +696,8 @@ def dump_group_file(path, group: FiniteGroup, *, operator: Optional[Sequence[int
                     action: Optional[Sequence[Sequence[int]]] = None,
                     subgroups: Optional[dict[str, Sequence[int]]] = None) -> None:
     """Write a group file readable by :func:`load_group_file`.  An operator,
-    action, subgroup name or subgroup member that it would refuse or misread
-    raises ValueError before the file is opened."""
+    action, subgroup name, subgroup member or subgroups entry that it would
+    refuse or misread raises ValueError before the file is opened."""
     import yaml
     data: dict = {
         "elements": list(group.elements),
@@ -701,5 +713,7 @@ def dump_group_file(path, group: FiniteGroup, *, operator: Optional[Sequence[int
             if not isinstance(k, str) or not k:
                 raise ValueError(f"subgroup name {k!r} is not a nonempty string")
         data["subgroups"] = {k: [group.name(i) for i in v] for k, v in subgroups.items()}
+        for k, names in data["subgroups"].items():
+            _subgroup_entry(group, k, names)
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(data, fh, sort_keys=False, default_flow_style=None)

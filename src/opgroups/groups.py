@@ -2,12 +2,15 @@
 groups.  Elements are the indices ``0..n-1`` of the element-name list.  The
 operator laboratory, :mod:`opgroups.finite`, re-exports them, and reads any
 other enumerable carrier into the group of its table (``FiniteGroup._closed``).
+Every standard group is tabulated by the one table builder ``_table``, from
+its product rule on a list of element keys (integers, (rotation, flip) pairs,
+permutations or signed quaternion units).
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Optional, Sequence
+from itertools import chain, permutations
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = ["FiniteGroup", "GroupTableError", "alternating", "cyclic", "dihedral", "klein_four",
            "quaternion", "symmetric", "validate_group"]
@@ -216,45 +219,37 @@ def validate_group(elements: Sequence[str], table: Sequence[Sequence[str]]) -> F
 
 # --- standard groups --------------------------------------------------------
 
+def _table(elems: Sequence, mul: Callable) -> list[list[int]]:
+    # the Cayley table, by index into elems, of the product mul on the keys elems
+    pos = {x: k for k, x in enumerate(elems)}
+    return [[pos[mul(x, y)] for y in elems] for x in elems]
+
+
 def cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order n with elements e, a, a2, ..."""
     if n < 1:
         raise ValueError("order must be positive")
     names = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(names, table)
+    return FiniteGroup(names, _table(range(n), lambda i, j: (i + j) % n))
 
 
 def klein_four() -> FiniteGroup:
     """The Klein four-group (Z/2 x Z/2) with elements e, a, b, c."""
-    return FiniteGroup(["e", "a", "b", "c"], [[i ^ j for j in range(4)] for i in range(4)])
+    return FiniteGroup(["e", "a", "b", "c"], _table(range(4), int.__xor__))
 
 
 def dihedral(n: int) -> FiniteGroup:
     """The dihedral group of order 2n: rotations r^i and reflections r^i s."""
     if n < 2:
         raise ValueError("need n >= 2")
+    rotations = ["e", "r"] + [f"r{i}" for i in range(2, n)]
+    names = rotations + ["s"] + [r + "s" for r in rotations[1:]]
 
-    def nm(i, f):
-        r = "e" if i == 0 else "r" if i == 1 else f"r{i}"
-        if not f:
-            return r
-        return "s" if i == 0 else r + "s"
-
-    elems = [(i, f) for f in (0, 1) for i in range(n)]
-    names = [nm(i, f) for i, f in elems]
-    pos = {e: k for k, e in enumerate(elems)}
-
-    def mul(x, y):
+    def mul(x, y):  # r^i s^f as (i, f), with s r^j = r^-j s
         (i, f), (j, g) = x, y
-        return ((i + (j if f == 0 else -j)) % n, f ^ g)
+        return (i + (-j if f else j)) % n, f ^ g
 
-    table = [[pos[mul(x, y)] for y in elems] for x in elems]
-    return FiniteGroup(names, table)
-
-
-def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(p)))
+    return FiniteGroup(names, _table([(i, f) for f in (0, 1) for i in range(n)], mul))
 
 
 def _cycle_name(p: tuple[int, ...]) -> str:
@@ -274,58 +269,38 @@ def _cycle_name(p: tuple[int, ...]) -> str:
     return "".join(parts) or "e"
 
 
-def _perm_group(perms: list[tuple[int, ...]]) -> FiniteGroup:
-    perms = sorted(perms)
-    pos = {p: k for k, p in enumerate(perms)}
-    names = [_cycle_name(p) for p in perms]
-    table = [[pos[_perm_mul(p, q)] for q in perms] for p in perms]
-    return FiniteGroup(names, table)
-
-
-def _parity(p: tuple[int, ...]) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inv % 2
+def _perm_group(n: int, even: bool) -> FiniteGroup:
+    # the permutations of n <= 4 points, or the even ones (those with an even
+    # number of inversions), in lexicographic order, named in cycle notation
+    if not 1 <= n <= 4:
+        raise ValueError("only n <= 4 is supported as an explicit table")
+    perms = [p for p in permutations(range(n))
+             if not even or sum(p[i] > p[j] for j in range(n) for i in range(j)) % 2 == 0]
+    table = _table(perms, lambda p, q: tuple(p[i] for i in q))  # (pq)(x) = p(q(x))
+    return FiniteGroup(list(map(_cycle_name, perms)), table)
 
 
 def symmetric(n: int) -> FiniteGroup:
     """The symmetric group on n points (n <= 4), named in cycle notation."""
-    from itertools import permutations
-
-    if not 1 <= n <= 4:
-        raise ValueError("only n <= 4 is supported as an explicit table")
-    return _perm_group([tuple(p) for p in permutations(range(n))])
+    return _perm_group(n, even=False)
 
 
 def alternating(n: int) -> FiniteGroup:
     """The alternating group on n points (n <= 4)."""
-    from itertools import permutations
-
-    if not 1 <= n <= 4:
-        raise ValueError("only n <= 4 is supported as an explicit table")
-    return _perm_group([tuple(p) for p in permutations(range(n)) if _parity(tuple(p)) == 0])
+    return _perm_group(n, even=True)
 
 
 def quaternion() -> FiniteGroup:
     """The quaternion group {1, -1, i, -i, j, -j, k, -k}."""
-    units = "1ijk"
-    prod = {("1", u): (1, u) for u in units}
-    prod.update({(u, "1"): (1, u) for u in units})
-    for u in "ijk":
-        prod[(u, u)] = (-1, "1")
-    prod[("i", "j")] = (1, "k")
-    prod[("j", "i")] = (-1, "k")
-    prod[("j", "k")] = (1, "i")
-    prod[("k", "j")] = (-1, "i")
-    prod[("k", "i")] = (1, "j")
-    prod[("i", "k")] = (-1, "j")
-
-    elems = [(s, u) for u in units for s in (1, -1)]
-    names = [("" if s == 1 else "-") + u for s, u in elems]
-    pos = {e: k for k, e in enumerate(elems)}
 
     def mul(x, y):
-        s, u = prod[(x[1], y[1])]
-        return (s * x[0] * y[0], u)
+        (s, u), (t, v) = x, y
+        if u == "1" or v == "1":
+            return s * t, u if v == "1" else v
+        if u == v:  # ii = jj = kk = -1
+            return -s * t, "1"
+        # ij = k, jk = i and ki = j; the reverse orders negated
+        return s * t if u + v in "ijki" else -s * t, "ijk".replace(u, "").replace(v, "")
 
-    table = [[pos[mul(x, y)] for y in elems] for x in elems]
-    return FiniteGroup(names, table)
+    elems = [(s, u) for u in "1ijk" for s in (1, -1)]
+    return FiniteGroup([("" if s == 1 else "-") + u for s, u in elems], _table(elems, mul))

@@ -1,7 +1,9 @@
 """Seeded random generators for words of the three theories, shared by the
 unit tests and the acceptance suite, test oracles for the products, the
 powers, the law checks and the operator search, the built-in groups up to
-order 24 and a view of a group through its carrier methods alone."""
+order 24, a view of a group through its carrier methods alone, and the free
+differential and Rota-Baxter groups as carriers, with the maps into them
+that the one evaluator computes."""
 
 from __future__ import annotations
 
@@ -11,11 +13,13 @@ from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Optional
 
-from opgroups.differential import DiffLetter, DiffWord
+from opgroups import operated
+from opgroups.differential import DiffLetter, DiffWord, derive, diff_gen
 from opgroups.finite import (Law, _pair_rule, alternating, cyclic, dihedral, klein_four, quaternion,
                              symmetric)
-from opgroups.rota_baxter import _require_rb
-from opgroups.words import Atom, ReducedWord, Word
+from opgroups.operated import OperatedTarget
+from opgroups.rota_baxter import _require_rb, diamond, rb_bracket, rb_inverse
+from opgroups.words import Atom, ReducedWord, Word, gen
 
 ALPHABET = ("x", "y", "z")
 
@@ -28,6 +32,36 @@ def as_carrier(g):
     """``g`` seen through the carrier interface only, not as a FiniteGroup."""
     return SimpleNamespace(identity=g.identity, mul=g.mul, inv=g.inv,
                            iter_elements=g.iter_elements)
+
+
+# the free weight-1 differential group and the free weight-1 Rota-Baxter group,
+# each as a carrier of the one evaluator
+FREE_DIFF = SimpleNamespace(identity=DiffWord, mul=DiffWord.__mul__, inv=DiffWord.inverse)
+FREE_RB = SimpleNamespace(identity=Word, mul=diamond, inv=rb_inverse)
+
+
+def q_d(w: Word) -> DiffWord:
+    """The quotient map of the free operated group onto the free differential
+    group: each generator of ``ALPHABET`` to its letter x.0, the bracket to
+    ``derive``."""
+    return operated.evaluate(w, {s: diff_gen(s) for s in ALPHABET},
+                             OperatedTarget(FREE_DIFF, derive))
+
+
+def _tilde(w: Word) -> Word:
+    # B~(g) = g^-1 B(g^-1), the weight-1 RB operator that B gives (Guo, Lang
+    # & Sheng), for B the bracket of the free RB group
+    u = rb_inverse(w)
+    return diamond(u, rb_bracket(u))
+
+
+def psi(w: Word) -> Word:
+    """The map of a Rota-Baxter word that fixes each generator of ``ALPHABET``
+    and sends <w> to psi(w)^-1 ⋄ <psi(w)^-1>: the automorphism of the free RB
+    group that B ↦ B~ induces.  psi∘psi is the identity there, so where
+    psi(psi(w)) differs from w, the two words name one element that the
+    diamond's rules do not identify."""
+    return operated.evaluate(w, {s: gen(s) for s in ALPHABET}, OperatedTarget(FREE_RB, _tilde))
 
 
 def random_word(rng: random.Random, *, max_depth: int = 2, max_breadth: int = 4,

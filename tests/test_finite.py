@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import random
@@ -1092,6 +1093,30 @@ def test_every_law_enumerates_up_to_order_64_within_the_budget(monkeypatch):
         enumerate_operators(dihedral(32), Law.RB_PLUS)
 
 
+def test_the_built_in_tables_and_the_order_64_sweep_are_pinned():
+    # the 105 built-in groups up to order 64, in the order C1-C64, D2-D32, V4,
+    # Q8, S1-S4, A1-A4: the SHA-256 of their concatenated repr((elements,
+    # table)), and of the concatenated repr of each search's list of maps, per
+    # group under endo, diff1, diff-1, rb1, rb-1 and crossed under the adjoint
+    # and under the left-regular action
+    built_in = ([cyclic(n) for n in range(1, 65)] + [dihedral(n) for n in range(2, 33)]
+               + [klein_four(), quaternion()] + [symmetric(n) for n in range(1, 5)]
+               + [alternating(n) for n in range(1, 5)])
+    tables = "".join(repr((g.elements, g._table)) for g in built_in)
+    assert hashlib.sha256(tables.encode()).hexdigest() == (
+        "be145aa69d62093c1fb8bd8ff392a58c520c0047b7b572b0d2636cb9f6ede67e")
+    sweep, searches, maps = hashlib.sha256(), 0, 0
+    for g in built_in:
+        laws = [(law, None) for law in Law if law is not Law.CROSSED]
+        for law, action in laws + [(Law.CROSSED, adjoint_action(g)),
+                                   (Law.CROSSED, left_regular_action(g))]:
+            found = enumerate_operators(g, law, action)
+            sweep.update(repr(found).encode())
+            searches, maps = searches + 1, maps + len(found)
+    assert (searches, maps) == (735, 74972)
+    assert sweep.hexdigest() == "f6fddc712f251e6f1f32438a107e549a0064782afea174b311dc4adbc5adefff"
+
+
 PAST_ORDER_8 = {**{f"C{n}": (lambda n=n: cyclic(n)) for n in (9, 10, 12)},
                 "A4": lambda: alternating(4), "D5": lambda: dihedral(5), "D6": lambda: dihedral(6)}
 
@@ -1244,7 +1269,8 @@ def test_group_file_round_trip(tmp_path):
     assert set(data.subgroups) == {"rot"}
     assert len(data.subgroups["rot"]) == 4
     # each of these was written, then misread (-1 as a2, -2 as a, the name 1
-    # as '1') or refused on load; an image 5 raised a bare IndexError
+    # as '1', a subgroups entry that is no subgroup as it stood) or refused
+    # on load; an image 5 raised a bare IndexError
     c3, path = cyclic(3), tmp_path / "c3.grp"
     swapped = ((0, 1, 2), (0, 2, 1), (0, 1, 2))  # act(a, .) swaps a and a2 but act(a2, .) not
     for extra, message in [({"operator": (0, -1, 0)}, r"^-1 is not an element index$"),
@@ -1255,7 +1281,10 @@ def test_group_file_round_trip(tmp_path):
                            ({"action": [0, 1, 2]}, r"^action must be an 3x3 matrix$"),
                            ({"subgroups": {(1, 2): [0]}},
                             r"^subgroup name \(1, 2\) is not a nonempty string$"),
-                           ({"subgroups": {1: [0]}}, r"^subgroup name 1 is not a nonempty string$")]:
+                           ({"subgroups": {1: [0]}}, r"^subgroup name 1 is not a nonempty string$"),
+                           ({"subgroups": {"h": [1, 1]}}, r"^subgroups entry 'h' lists 'a' twice$"),
+                           ({"subgroups": {"h": [1, 2]}},
+                            r"^subgroups entry 'h': subgroup does not contain the identity$")]:
         with pytest.raises(ValueError, match=message):
             dump_group_file(path, c3, **extra)
         assert not path.exists(), extra
@@ -1300,6 +1329,7 @@ def test_group_file_round_trips_an_action(tmp_path):
 
 
 GROUP_C2 = "elements: [e, a]\ntable: [[e, a], [a, e]]\n"
+GROUP_C3 = "elements: [e, a, a2]\ntable: [[e, a, a2], [a, a2, e], [a2, e, a]]\n"
 
 
 @pytest.mark.parametrize("body,key", [
@@ -1324,7 +1354,10 @@ def test_group_file_rejects_a_string_for_a_list(tmp_path, body, key):
     ("- e\n- a\n", "group file must be a mapping"),
     (GROUP_C2 + "subgroups: [e]\n", "subgroups must be a mapping of name -> element list"),
     (GROUP_C2 + "subgroups: {1: [e], '1': [e, a]}\n", "subgroup name '1' occurs twice"),
-], ids=["list", "subgroups-list", "subgroup-name-twice"])
+    (GROUP_C3 + "subgroups: {h: [a]}\n",
+     "subgroups entry 'h': subgroup does not contain the identity"),
+    (GROUP_C3 + "subgroups: {k: [e, e]}\n", "subgroups entry 'k' lists 'e' twice"),
+], ids=["list", "subgroups-list", "subgroup-name-twice", "no-subgroup", "member-twice"])
 def test_group_file_mappings_must_be_mappings(tmp_path, body, message):
     path = tmp_path / "bad.grp"
     path.write_text(body, encoding="utf-8")

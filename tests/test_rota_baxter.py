@@ -1,9 +1,10 @@
 import random
+import sys
 from collections import defaultdict
 
 import pytest
 
-from helpers import diamond_rewrite, random_rb_word, rb_words, record_hashes
+from helpers import diamond_rewrite, psi, random_rb_word, rb_words, record_hashes
 from opgroups import rota_baxter
 from opgroups.finite import Law, cyclic, dihedral, enumerate_operators, symmetric
 from opgroups.operated import OperatedTarget, UnassignedGeneratorError, bracket
@@ -17,7 +18,7 @@ from opgroups.rota_baxter import (
     rb_bracket,
     rb_inverse,
 )
-from opgroups.words import Word, gen, parse_word
+from opgroups.words import Word, format_word, gen, parse_word
 
 x, y, z = gen("x"), gen("y"), gen("z")
 
@@ -203,6 +204,28 @@ def test_depth_five_square_computes_each_subproduct_once(monkeypatch):
         diamond(w, w)
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True,
+                   reason="merges nest as deep as the brackets of the result")
+def test_depth_eight_square_computes_near_the_callers_recursion_depth():
+    # the square's merges nest 143 deep, the depth of the result; they should
+    # run on an explicit stack, not on the interpreter's
+    w = parse_word("<<<<<<<<x>>>>>>>>")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        r = diamond(w, w)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert is_rb_word(r) and r.depth() == 143
+
+
 def test_depth_four_square_agrees_with_rewriting_oracle():
     w = parse_word("<<<<x>>>>")
     assert diamond(w, w) == diamond_rewrite(w, w)
@@ -344,6 +367,25 @@ def test_census_of_group_law_failures_at_size_two():
     inverses = [(v, rb_inverse(v)) for v in words]
     assert sum(diamond(products[u, v], vi) != u for u in words for v, vi in inverses) == 32
     assert sum(diamond(vi, products[v, u]) != u for u in words for v, vi in inverses) == 32
+
+
+def test_psi_is_an_involution_on_the_words_of_size_two():
+    # psi, induced by B -> B~ (B~(g) = g^-1 B(g^-1)), squares to the identity
+    # of the free RB group
+    words = rb_words(("x", "y"), 2)
+    assert len(words) == 25
+    assert all(psi(psi(w)) == w for w in words)
+
+
+def test_psi_squared_names_16_words_of_size_three_otherwise():
+    # each such pair is two names of one element, which the diamond's rules
+    # do not identify; the smallest meets a negative bracket with a positive one
+    words = rb_words(("x", "y"), 3)
+    assert len(words) == 165
+    moved = [w for w in words if psi(psi(w)) != w]
+    assert len(moved) == 16
+    assert format_word(moved[0]) == "<<x>>"
+    assert format_word(psi(psi(moved[0]))) == "<x>^-1 <x <x <x> x <x>^-1> <x>^-1>"
 
 
 def test_smallest_witness_the_cube_of_a_bracket_depends_on_its_bracketing():

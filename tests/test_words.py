@@ -296,6 +296,20 @@ def test_atom_validation():
         Atom(42)
 
 
+def test_atom_accessors_and_word_reprs():
+    w = parse_word("x <y z^-1>^-1")
+    letter, bracket = w.atoms
+    assert letter.name == "x" and bracket.body == parse_word("y z^-1")
+    with pytest.raises(ValueError, match=r"^bracket atom has no generator name$"):
+        bracket.name
+    with pytest.raises(ValueError, match=r"^generator atom has no bracket body$"):
+        letter.body
+    assert repr(w) == format_word(w) == "x <y z^-1>^-1"
+    d = parse_diff_word("x.2^-1 y.0")
+    assert repr(d) == format_diff_word(d) == "x.2^-1 y.0"
+    assert [repr(a) for a in d.atoms] == ["x.2^-1", "y.0"]
+
+
 def test_atom_sign_must_not_be_a_bool():
     # True == 1, so only a type check refuses it
     with pytest.raises(ValueError, match="sign"):
