@@ -98,15 +98,18 @@ class EnumerationBudgetError(ValueError):
 
 # --- operator maps ----------------------------------------------------------
 
+def _require_images(group: FiniteGroup, n: int) -> None:
+    if n != len(group):
+        raise ValueError(f"operator must list {len(group)} images, got {n}")
+
+
 def operator_from_names(group: FiniteGroup, images: Sequence[str]) -> tuple[int, ...]:
-    if len(images) != len(group):
-        raise ValueError(f"operator must list {len(group)} images, got {len(images)}")
+    _require_images(group, len(images))
     return tuple(group.index(s) for s in images)
 
 
 def operator_to_names(group: FiniteGroup, op: Sequence[int]) -> tuple[str, ...]:
-    if len(op) != len(group):
-        raise ValueError(f"operator must list {len(group)} images, got {len(op)}")
+    _require_images(group, len(op))
     return tuple(group.name(i) for i in op)
 
 
@@ -631,10 +634,19 @@ def _as_list(value, what: str) -> list:
     return value
 
 
+def _entry_indices(group: FiniteGroup, names, what: str) -> tuple[int, ...]:
+    # the indices of the element names of one group-file entry; a name that
+    # is no element is refused with the entry named
+    try:
+        return tuple(group.index(str(s)) for s in names)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from None
+
+
 def _subgroup_entry(group: FiniteGroup, key: str, names: list[str]) -> tuple[int, ...]:
     # the indices of a subgroups entry, which must list the members of a
     # subgroup, each once
-    members = tuple(map(group.index, names))
+    members = _entry_indices(group, names, f"subgroups entry {key!r}")
     if len(set(members)) != len(members):
         twice = next(s for i, s in enumerate(names) if s in names[:i])
         raise ValueError(f"subgroups entry {key!r} lists {twice!r} twice")
@@ -648,7 +660,9 @@ def load_group_file(path) -> GroupData:
     Required keys: ``elements`` (list of names) and ``table`` (list of rows
     of names).  Optional: ``operator`` (list of names parallel to elements),
     ``action`` (matrix of names) and ``subgroups`` (mapping of name -> list
-    of the members of a subgroup, each once).  Unknown keys are rejected.
+    of the members of a subgroup, each once).  Unknown keys are rejected,
+    and so is a name that is no element, with its entry named (``operator``,
+    ``action row i`` or ``subgroups entry 'k'``).
     The group's order is at most 64, the reach of ``ENUM_NODE_BUDGET`` (see
     :class:`FiniteGroup`).
     """
@@ -671,11 +685,12 @@ def load_group_file(path) -> GroupData:
     operator = None
     if "operator" in raw:
         images = _as_list(raw["operator"], "operator")
-        operator = operator_from_names(group, [str(s) for s in images])
+        _require_images(group, len(images))
+        operator = _entry_indices(group, images, "operator")
 
     action = None
     if "action" in raw:
-        action = tuple(tuple(group.index(str(s)) for s in _as_list(row, f"action row {i}"))
+        action = tuple(_entry_indices(group, _as_list(row, f"action row {i}"), f"action row {i}")
                        for i, row in enumerate(_as_list(raw["action"], "action")))
         validate_action(group, action)
 

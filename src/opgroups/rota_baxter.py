@@ -29,12 +29,18 @@ bodies, not once per letter.  But a merge's body is built by merges too, so
 merges nest as deep as the brackets of the *result*, not of the operands:
 squaring a chain of depth 2-9 nests them 5, 9, 15, 25, 43, 77, 143 and 273
 deep, and at depth 11 the interpreter's stack runs out before
-``MERGE_BUDGET`` does.  Each call of :func:`diamond` memoises its merges,
-keyed by the identities of the two bracket bodies, for the length of that
-call: the merges of nested brackets ask for the same pairs of body objects
-many times over, and each is computed once, with no word hashed.  The memo
-is dropped when the call returns, so no memory outlives a product.  The test suite checks the
-product against a flat, unmemoised rewriting oracle.
+``MERGE_BUDGET`` does.  Each call of :func:`diamond` memoises its merges
+for the length of that call: the merges of nested brackets ask for the same
+pairs of body objects many times over, and each is computed once, with no
+word hashed.  One entry, keyed by the identities of the two bodies of a
+positive merge ``<x> <y>``, holds its result and the inverse of it; the
+negative merge ``<y>^-1 <x>^-1`` reads that entry, so the memo and the
+budget count positive pairs whatever the signs asked.  The memo is dropped
+when the call returns, so no memory outlives a product.  Every sequence of
+atoms the machine pushes (the right factor, a bracket body, a merge's stack
+or one atom) has no two neighbours that cancel or merge, so once one of its
+atoms lands on the stack untouched, the rest follows in one slice.  The
+test suite checks the product against a flat, unmemoised rewriting oracle.
 
 Because the Rota-Baxter relation forces ``B(1) = 1`` in every group carrying
 such an operator (``B(1)B(1) = B(1 · B(1) 1 B(1)^-1) = B(1)``), the bracket
@@ -77,8 +83,8 @@ __all__ = [
 ]
 
 # The guard counts the distinct bracket merges one product makes, by the
-# identities of the two bodies (memo misses), not the requests for them;
-# squaring <<<<<x>>>>> takes 453.
+# identities of the two bodies of the positive merge (memo misses), not the
+# requests for them, of either sign; squaring <<<<<x>>>>> takes 453.
 MERGE_BUDGET = 1_000_000
 
 # The product's stack machine leaves its stack reduced (see _Product.push),
@@ -188,8 +194,9 @@ class _Product:
     __slots__ = ("memo", "left", "u", "v")
 
     def __init__(self, u: Word, v: Word):
-        # (id of a's body, id of b's body) -> [a, b, their merge], with
-        # _UNSEEN for the merge while it is computed; keeping a and b keeps
+        # (id of x, id of y) for the positive merge <x> <y> -> [x, y, its
+        # result, the inverse of its result], the results _UNSEEN while it is
+        # computed; <y>^-1 <x>^-1 reads the same entry.  Keeping x and y keeps
         # both bodies alive, so no id is reused during the call
         self.memo: dict[tuple[int, int], list] = {}
         self.left = MERGE_BUDGET
@@ -202,41 +209,54 @@ class _Product:
         # place of the incoming atom.  The stack starts, and so stays, with
         # no two adjacent atoms that cancel or merge, so this is the
         # leftmost-first rewriting of the stack followed by the incoming atoms.
-        for b in incoming:
+        # Nor do two adjacent incoming atoms cancel or merge: they are those
+        # of v, of a bracket body, of a merge stack, or one atom.  So once an
+        # incoming atom lands on the stack untouched, so does every later one,
+        # and the rest goes on in one slice; a merge of it may still cancel
+        # the next one.
+        for i, b in enumerate(incoming):
+            m = b  # what b has become: b, a merge of it, or None
             while stack:
                 a = stack[-1]
-                if a.sign != b.sign:
-                    if a.base == b.base:
+                x, y = a.base, m.base
+                if a.sign != m.sign:
+                    # identity first, then the kinds: a name never equals a
+                    # word, and comparing them costs a reflected round trip
+                    if x is y or (isinstance(x, str) is isinstance(y, str) and x == y):
                         stack.pop()
-                        b = None
+                        m = None
                     break
-                if isinstance(a.base, str) or isinstance(b.base, str):
+                if isinstance(x, str) or isinstance(y, str):
                     break
                 stack.pop()
-                b = self.merge(a, b)
-                if b is None:
+                m = self.merge(a, m)
+                if m is None:
                     break
-            if b is not None:
+            if m is b:
                 stack.append(b)
+                stack += incoming[i + 1:]
+                return stack
+            if m is not None:
+                stack.append(m)
         return stack
 
     def merge(self, a: Atom, b: Atom) -> Optional[Atom]:
-        # <ā> <b̄> = < ā ⋄ AD >, or None when the body comes out empty (the
-        # bracket of 1 is 1); two negative brackets merge as the inverse of
-        # the swapped positive merge.  Only here does the product recurse,
-        # and only into the bracket bodies.
-        if a.sign < 0:
-            m = self.merge(b.inverse(), a.inverse())
-            return None if m is None else m.inverse()
-        key = (id(a.base), id(b.base))
+        # <x> <y> = < x ⋄ AD >, or None when the body comes out empty (the
+        # bracket of 1 is 1).  Two negative brackets <y>^-1 <x>^-1 merge as
+        # the inverse of the swapped positive merge, so one memo entry serves
+        # both signs and the budget counts positive pairs.  Only here does
+        # the product recurse, and only into the bracket bodies.
+        positive = a.sign > 0
+        x, y = (a.base, b.base) if positive else (b.base, a.base)
+        key = (id(x), id(y))
         hit = self.memo.get(key)
         if hit is not None:
-            m = hit[2]
-            if m is not _UNSEEN:
-                return m
+            if hit[2] is not _UNSEEN:
+                return hit[2] if positive else hit[3]
             # its own subproduct: the recursion would never end
-            raise DiamondLimitError(f"diamond recursion guard: the merge of {a!r} "
-                                    f"and {b!r} asks for its own result")
+            raise DiamondLimitError(f"diamond recursion guard: the merge of "
+                                    f"{Atom._make(x, 1)!r} and {Atom._make(y, 1)!r} "
+                                    "asks for its own result")
         self.left -= 1
         if self.left < 0:
             u, v = self.u, self.v
@@ -244,15 +264,21 @@ class _Product:
                 f"diamond recursion guard exceeded: more than {MERGE_BUDGET} distinct "
                 f"subproducts for operands of length {len(u)} and {len(v)}, "
                 f"depth {u.depth()} and {v.depth()}")
-        # AD of b̄ by the positive bracket a: the left-bracketed conjugate
-        # (a ⋄ b̄) ⋄ a^-1, so every factor of b̄ meets its left neighbour
-        # before the closing a^-1 meets the last one
-        entry = self.memo[key] = [a, b, _UNSEEN]
-        ad = self.push(self.push([a], b.base.atoms), (a.inverse(),))
-        body = self.push(list(a.base.atoms), ad)
-        m = Atom._make(_word(tuple(body)), 1) if body else None
-        entry[2] = m
-        return m
+        # AD of y by the positive bracket p = <x>: the left-bracketed
+        # conjugate (p ⋄ y) ⋄ p^-1, so every factor of y meets its left
+        # neighbour before the closing p^-1 meets the last one
+        entry = self.memo[key] = [x, y, _UNSEEN, None]
+        # p = <x> is a itself for a positive pair, and for a negative one
+        # the inverse of b, which is then p^-1
+        p, p_inverse = (a, Atom._make(x, -1)) if positive else (Atom._make(x, 1), b)
+        ad = self.push(self.push([p], y.atoms), (p_inverse,))
+        body = self.push(list(x.atoms), ad)
+        if body:
+            w = _word(tuple(body))
+            entry[2], entry[3] = Atom._make(w, 1), Atom._make(w, -1)
+        else:
+            entry[2] = None
+        return entry[2] if positive else entry[3]
 
 
 def diamond(u: Word, v: Word) -> Word:

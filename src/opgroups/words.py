@@ -91,6 +91,13 @@ class Atom:
     first, after the unhashed bodies below it in the order of
     :func:`_children_first`, which walks only those, on an explicit stack: so
     a chain nested thousands deep hashes with no recursion.
+
+    Two atoms compare by the cheapest test that decides first: the signs,
+    the identity of the bases (a body shared, as merges and ``**`` make),
+    generator against bracket (never equal, with no call of
+    :meth:`Word.__eq__`), two names as strings, and the lengths of two
+    bodies.  Only bodies of equal length are walked, pair by pair, on an
+    explicit stack, so equal words nested thousands deep do not recurse.
     """
 
     __slots__ = ("base", "sign")
@@ -144,11 +151,18 @@ class Atom:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Atom):
             return NotImplemented
-        if self.base is other.base:  # a shared body, as merges and ** make
-            return self.sign == other.sign
+        if self.sign != other.sign:
+            return False
+        u, v = self.base, other.base
+        if u is v:  # a shared body, as merges and ** make
+            return True
+        if isinstance(u, str) or isinstance(v, str):
+            return isinstance(u, str) and isinstance(v, str) and u == v
+        if len(u.atoms) != len(v.atoms):
+            return False
         # an explicit stack of the atom pairs still to compare, so that equal
         # words nested thousands deep do not recurse through __eq__
-        stack = [(self, other)]
+        stack = list(zip(u.atoms, v.atoms))
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -156,12 +170,14 @@ class Atom:
             if a.sign != b.sign:
                 return False
             u, v = a.base, b.base
+            if u is v:
+                continue
             if isinstance(u, str) or isinstance(v, str):
-                if u != v:
+                if not (isinstance(u, str) and isinstance(v, str) and u == v):
                     return False
-            elif u is not v:
-                if len(u.atoms) != len(v.atoms):
-                    return False
+            elif len(u.atoms) != len(v.atoms):
+                return False
+            else:
                 stack.extend(zip(u.atoms, v.atoms))
         return True
 

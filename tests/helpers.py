@@ -1,9 +1,10 @@
 """Seeded random generators for words of the three theories, shared by the
 unit tests and the acceptance suite, test oracles for the products, the
-powers, the law checks and the operator search, the built-in groups up to
-order 24, a view of a group through its carrier methods alone, and the free
-differential and Rota-Baxter groups as carriers, with the maps into them
-that the one evaluator computes."""
+powers, the law checks and the operator search, the merge count of one
+diamond product, the built-in groups up to order 24, a view of a group
+through its carrier methods alone, and the free differential and
+Rota-Baxter groups as carriers, with the maps into them that the one
+evaluator computes."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import Optional
 
-from opgroups import operated
+from opgroups import operated, rota_baxter
 from opgroups.differential import DiffLetter, DiffWord, derive, diff_gen
 from opgroups.finite import (Law, _pair_rule, alternating, cyclic, dihedral, klein_four, quaternion,
                              symmetric)
@@ -187,6 +188,17 @@ def record_hashes(monkeypatch) -> list:
         monkeypatch.setattr(cls, "__hash__", counting(cls.__hash__))
     monkeypatch.setattr(builtins, "hash", counting(builtins.hash))
     return calls
+
+
+def merge_count(u: Word, v: Word) -> int:
+    """The distinct bracket merges that the product of ``u`` and ``v`` makes,
+    which ``MERGE_BUDGET`` bounds: the size of the memo of one
+    ``rota_baxter._Product`` after it has pushed ``v`` onto ``u``."""
+    _require_rb(u, "left factor")
+    _require_rb(v, "right factor")
+    product = rota_baxter._Product(u, v)
+    product.push(list(u.atoms), v.atoms)
+    return len(product.memo)
 
 
 # --- independent oracle: fixpoint rewriting ----------------------------------

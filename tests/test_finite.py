@@ -1357,7 +1357,11 @@ def test_group_file_rejects_a_string_for_a_list(tmp_path, body, key):
     (GROUP_C3 + "subgroups: {h: [a]}\n",
      "subgroups entry 'h': subgroup does not contain the identity"),
     (GROUP_C3 + "subgroups: {k: [e, e]}\n", "subgroups entry 'k' lists 'e' twice"),
-], ids=["list", "subgroups-list", "subgroup-name-twice", "no-subgroup", "member-twice"])
+    (GROUP_C2 + "subgroups: {h: [e, q]}\n", "subgroups entry 'h': unknown element name 'q'"),
+    (GROUP_C2 + "action: [[e, a], [q, e]]\n", "action row 1: unknown element name 'q'"),
+    (GROUP_C2 + "operator: [e, q]\n", "operator: unknown element name 'q'"),
+], ids=["list", "subgroups-list", "subgroup-name-twice", "no-subgroup", "member-twice",
+        "unknown-member", "unknown-action-image", "unknown-operator-image"])
 def test_group_file_mappings_must_be_mappings(tmp_path, body, message):
     path = tmp_path / "bad.grp"
     path.write_text(body, encoding="utf-8")

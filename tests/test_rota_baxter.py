@@ -1,10 +1,12 @@
+import hashlib
 import random
 import sys
 from collections import defaultdict
 
 import pytest
 
-from helpers import diamond_rewrite, psi, random_rb_word, rb_words, record_hashes
+from helpers import (diamond_rewrite, merge_count, psi, random_rb_word, rb_words,
+                     record_hashes)
 from opgroups import rota_baxter
 from opgroups.finite import Law, cyclic, dihedral, enumerate_operators, symmetric
 from opgroups.operated import OperatedTarget, UnassignedGeneratorError, bracket
@@ -144,6 +146,70 @@ def test_diamond_merges_same_sign_chains_like_the_oracle(left, right, sign):
         got = diamond(u, v)
         assert got == diamond_rewrite(u, v)
         assert is_rb_word(got)
+
+
+def _seam_pairs():
+    # 200 pairs shaped like the rb_products benchmark: same-sign chains of
+    # lengths 1-5 at the seam, either sign, with shallow atoms on the far sides
+    rng = random.Random(7)
+    core = lambda: random_rb_word(rng, max_depth=0, max_breadth=3, nonempty=True)
+    side = lambda: random_rb_word(rng, max_depth=1, max_breadth=3)
+    for sign in (1, -1):
+        for left in range(1, 6):
+            for right in range(1, 6):
+                for _ in range(4):
+                    yield (diamond(side(), _chain(core(), left, sign)),
+                           diamond(_chain(core(), right, sign), side()))
+
+
+# the SHA-256 of the products of _seam_pairs, one printed word per line: how
+# the product memoises and compares may change, its outputs may not
+SEAM_PAIRS_SHA256 = "40e548da649a48861e07b4aedf8ab84303e61e1cb0990bf60cc759a19584809a"
+
+
+def test_the_printed_products_of_the_seam_pairs_are_pinned():
+    text = "\n".join(format_word(diamond(u, v)) for u, v in _seam_pairs())
+    assert hashlib.sha256(text.encode()).hexdigest() == SEAM_PAIRS_SHA256
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_long_tail_after_a_seam_merge_agrees_with_the_oracle(sign):
+    # the seam brackets merge, and the 15,000 atoms after them go on untouched
+    tail = (x * bracket(y) * z) ** 5000
+    u = y * _chain(x * z, 3, sign)
+    seam = _chain(y, 2, sign)
+    v = diamond(seam, tail)
+    assert len(v) == 15_001 and merge_count(seam, tail) == 0
+    got = diamond(u, v)
+    assert len(got) == 15_002 and got.atoms[2:] == tail.atoms
+    assert got == diamond_rewrite(u, v)
+    assert merge_count(u, v) == merge_count(u, seam) > 0
+
+
+@pytest.mark.parametrize("u,v", [("z <x>", "<y> <x <x> y <x>^-1>^-1 z^-1"),
+                                 ("z <y>^-1", "<x>^-1 <x <x> y <x>^-1> z^-1")],
+                         ids=["positive", "negative"])
+def test_a_merged_bracket_can_cancel_the_next_atom(u, v):
+    # the seam merges to <x <x> y <x>^-1> or its inverse, which the next atom
+    # of v cancels, and then z^-1 meets z: a merge does not end the pushing,
+    # only an atom that lands on the stack untouched does
+    u, v = parse_word(u), parse_word(v)
+    assert diamond(u, v) == Word() == diamond_rewrite(u, v)
+
+
+def test_negative_merges_share_the_memo_of_the_swapped_positive_merges(monkeypatch):
+    # <y>^-1 <x>^-1 is the inverse of the merge of <x> <y>, read from its
+    # memo entry: the mirrored square takes the same 453 merges
+    w = parse_word("<<<<<x>>>>>")
+    mirror = rb_inverse(w)
+    assert merge_count(w, w) == merge_count(mirror, mirror) == 453
+    monkeypatch.setattr(rota_baxter, "MERGE_BUDGET", 453)
+    r = diamond(mirror, mirror)
+    assert r == rb_inverse(diamond(w, w))
+    monkeypatch.setattr(rota_baxter, "MERGE_BUDGET", 452)
+    with pytest.raises(DiamondLimitError, match=r"more than 452 distinct subproducts "
+                       r"for operands of length 1 and 1, depth 5 and 5$"):
+        diamond(mirror, mirror)
 
 
 def test_diamond_cancels_a_long_word():

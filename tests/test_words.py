@@ -316,6 +316,33 @@ def test_atom_sign_must_not_be_a_bool():
         Atom("x", True)
 
 
+class _Name(str):
+    pass
+
+
+def test_atom_comparison_decides_early(monkeypatch):
+    # a name never equals a body, and comparing the two reads no Word.__eq__
+    calls = []
+    word_eq = Word.__eq__
+    monkeypatch.setattr(Word, "__eq__", lambda u, v: calls.append((u, v)) or word_eq(u, v))
+    letter, brk = Atom("x"), Atom(x)
+    assert letter != brk and brk != letter
+    assert not (letter == brk or brk == letter)
+    assert calls == []
+    # equal deep bodies of opposite signs differ, and equal bodies built apart
+    # are equal, at every depth
+    chain = "<" * 50 + "x y^-1" + ">" * 50
+    u, v = parse_word(chain), parse_word(chain)
+    assert u.atoms[0].base is not v.atoms[0].base
+    assert u.atoms[0] == v.atoms[0] and u.atoms[0] != v.atoms[0].inverse()
+    assert u.atoms[0] != parse_word("<" * 50 + "x y" + ">" * 50).atoms[0]
+    assert parse_word("<x <y>>").atoms[0] != parse_word("<x y>").atoms[0]
+    # a generator name of a str subclass is still a name
+    assert Atom(_Name("x")) == Atom("x") and Atom("x") == Atom(_Name("x"))
+    assert Atom(_Name("x")) != brk and brk != Atom(_Name("x"))
+    assert Word((Atom(_Name("x")),)) * x.inverse() == Word()
+
+
 # --- the shared reduced-word core ---------------------------------------------
 
 @pytest.mark.parametrize("random_of", [random_word, random_diff_word])
